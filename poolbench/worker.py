@@ -11,9 +11,9 @@ A pass is one unit of a workload's work:
 * paper96: one attention round at the paper shape (C=64, Ĉ=32, 96x96,
   keys pooled on paper-even, values on paper-odd, T=325). On each of
   SETS_PER_ROUND input sets it runs SPA forward+backward in f32 and in
-  f64, CPA forward+backward in f32 and the `poolattn attn` path (DPT
-  read, SPA forward, DPT writes); then one non-local forward in f32 on
-  the first set.
+  f64, CPA forward+backward in f32 for each of CPA_DRAWS weight draws and
+  the `poolattn attn` path (DPT read, SPA forward, DPT writes); then one
+  non-local forward in f32 on the first set.
 * verify:  the finite-difference manifest plus the equivalence oracle.
 """
 
@@ -25,11 +25,12 @@ import os
 import platform
 import resource
 import shutil
+import signal
 import sys
 import time
 import zlib
 from collections import defaultdict
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +55,10 @@ F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 C, CHAT, HW = 64, 32, 96
 K_SPEC, V_SPEC = PAPER_EVEN, PAPER_ODD
 SETS_PER_ROUND = 3
+# CPA weight draws per input set. f32 CPA time depends on its weights (93 to
+# 240 ms at the paper shape: its softmax underflows into subnormals on some
+# draws), so its median needs more draws than the other calls.
+CPA_DRAWS = 3
 TRACED_PASSES = 2
 
 # The verification pass is the package's fixed suite, so it takes no seed;
@@ -64,6 +69,12 @@ EQUIVALENCE_ARGS = (50, [3, 5], [2, 4])
 # outputs within ~1000 f32 ulps, gradients within the package's 1e-3 rule.
 OUT_RTOL = 1e-4
 GRAD_RTOL = 1e-3
+
+# Wall time between two reference chunks sampled during a verification pass
+# or a set-up.
+REF_INTERVAL_S = 0.4
+# Reference chunks timed on each side of a traced pass, and after set-up.
+TRACE_REF_CHUNKS = SETUP_REF_CHUNKS = 5
 
 
 class Tally:
@@ -85,6 +96,86 @@ class Tally:
             self._failures_per_op[op] += 1
             if self._failures_per_op[op] <= 3:
                 self.failures.append(f"{op}: {problems[0]}")
+
+
+class Reference:
+    """A fixed kernel timed beside the workload's calls, to read the machine's speed.
+
+    On a shared machine the same call runs up to 1.6x slower while a
+    neighbour is busy, and that lasts from seconds to minutes. So every
+    timed call is divided by the mean of the reference chunks timed just
+    before and just after it, and run.py multiplies the median of those
+    ratios by REFERENCE_MS, the chunk's time at reference speed: a run
+    reports what its calls take at one fixed machine speed. The kernel never
+    calls poolattn, so a change to the package moves the ratios and leaves
+    the reference alone; its inputs are fixed, so the seed does not move it
+    either, and its buffers are allocated once.
+
+    * blas: products of the SPA map shape in f32 and f64 and an exp over a
+      T x N f32 array, for the BLAS- and memory-bound calls at the paper
+      shape;
+    * mixed: the blas chunk plus reductions of tiny arrays one at a time,
+      for the verification pass, which mixes small BLAS calls with
+      interpreter overhead. Under load the reductions alone slow down 1.7x
+      as much as the pass does, the blas chunk 0.7x as much, the two
+      together 0.85x as much.
+    """
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        rng = np.random.default_rng(0)
+        n, t = HW * HW, anchor_count(K_SPEC)
+        self.a32 = rng.standard_normal((n, C)).astype(F32)
+        self.b32 = rng.standard_normal((C, t)).astype(F32)
+        self.a64, self.b64 = self.a32[: n // 2].astype(F64), self.b32.astype(F64)
+        self.p32 = np.empty((n, t), F32)
+        self.p64 = np.empty((n // 2, t), F64)
+        self.scores = rng.standard_normal((t, n)).astype(F32)
+        self.e32 = np.empty_like(self.scores)
+        self.tiny = [rng.standard_normal((4, 8, 8)) for _ in range(50)]
+        self.parts = {"blas": (self._blas,), "mixed": (self._blas, self._python)}
+        self.seconds = 0.0      # time spent in chunks, kept out of pass times
+
+    def _blas(self) -> None:
+        np.matmul(self.a32, self.b32, out=self.p32)
+        np.matmul(self.a64, self.b64, out=self.p64)
+        np.exp(self.scores, out=self.e32)
+
+    def _python(self) -> None:
+        acc = 0.0
+        for _ in range(10):
+            for a in self.tiny:
+                acc += float((a.reshape(4, -1).mean(axis=1) * 2.0).sum())
+
+    def chunk(self, count: int = 1) -> float:
+        """Median time of `count` chunks, in ms."""
+        parts = self.parts[self.kind]
+        times = []
+        for _ in range(count):
+            t0 = time.perf_counter()
+            for part in parts:
+                part()
+            times.append(time.perf_counter() - t0)
+        self.seconds += sum(times)
+        return float(np.median(times)) * 1e3
+
+    @contextmanager
+    def sampling(self, interval: float):
+        """Time one chunk every `interval` seconds while the block runs.
+
+        For a call too long to be paired with the chunks beside it. The
+        chunks run in a SIGALRM handler between two bytecodes of the block,
+        and their time is counted in `seconds`, so the caller can take it out
+        of the block's time. Yields the list the chunk times (ms) go to.
+        """
+        times: list[float] = []
+        previous = signal.signal(signal.SIGALRM, lambda *_: times.append(self.chunk()))
+        signal.setitimer(signal.ITIMER_REAL, interval, interval)
+        try:
+            yield times
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def global_state_problem() -> str | None:
@@ -136,6 +227,7 @@ class Done:
     seconds: float | None
     problems: list[str]
     inputs: InputSet | None = None
+    ref_ms: float | None = None   # mean reference chunk beside the call
 
 
 def timed_call(name: str, key: str, fn, inputs: InputSet | None = None) -> Done:
@@ -175,8 +267,10 @@ class InputSet:
         mixed = attention.SpaMode.MIXED
         self.spa32 = attention.SpaModule(proj32, mixed, K_SPEC, V_SPEC, 1.0)
         self.spa64 = attention.SpaModule(proj64, mixed, K_SPEC, V_SPEC, 1.0)
-        self.cpa = attention.CpaModule(attention.init_projection(rng, C, None, F32),
-                                       attention.CpaMode.SUBTRACT, 1.0)
+        self.cpas = [attention.CpaModule(attention.init_projection(rng, C, None, F32),
+                                         attention.CpaMode.SUBTRACT, 1.0)
+                     for _ in range(CPA_DRAWS)]
+        self.cpa = self.cpas[0]
         self.input_path = workdir / f"{seed}-input.dpt"
         write_dpt(self.input_path, self.x32)
 
@@ -201,21 +295,41 @@ class AttentionRound:
         self.sets = [InputSet(seed * SETS_PER_ROUND + i, workdir)
                      for i in range(SETS_PER_ROUND)]
 
-    def execute(self) -> list[Done]:
-        """Make every call of the round; checking waits for check()."""
+    def execute(self, ref: Reference | None = None) -> list[Done]:
+        """Make every call of the round; checking waits for check().
+
+        With `ref`, reference chunks are timed before and after each call
+        (one reading serves two calls), and each call gets the mean of the
+        two beside it.
+        """
         self.calls += 1
         done = []
+        last = None     # (chunks, ms) of the latest reference reading
+
+        def call(name: str, key: str, fn, s: InputSet, count: int = 1) -> None:
+            nonlocal last
+            if ref:
+                before = last[1] if last and last[0] == count else ref.chunk(count)
+            d = timed_call(name, key, fn, s)
+            if ref:
+                last = (count, ref.chunk(count))
+                d.ref_ms = (before + last[1]) / 2
+            done.append(d)
+
         for s in self.sets:
             out, attn_map = (self.workdir / f"{s.seed}-{self.calls}-{k}.dpt"
                              for k in ("out", "map"))
-            for name, fn in (("spa_f32_fb_ms", lambda: spa_fb(s.spa32, s.x32, s.g32)),
-                             ("spa_f64_fb_ms", lambda: spa_fb(s.spa64, s.x64, s.g64)),
-                             ("cpa_f32_fb_ms", lambda: cpa_fb(s.cpa, s.x32, s.g32)),
-                             ("attn_io_ms", lambda: s.attn_io(out, attn_map))):
-                done.append(timed_call(name, f"{name}[inputs {s.seed}]", fn, s))
+            calls = [("spa_f32_fb_ms", "", lambda: spa_fb(s.spa32, s.x32, s.g32)),
+                     ("spa_f64_fb_ms", "", lambda: spa_fb(s.spa64, s.x64, s.g64))]
+            calls += [("cpa_f32_fb_ms", f" weights {j}",
+                       lambda m=m: cpa_fb(m, s.x32, s.g32)) for j, m in enumerate(s.cpas)]
+            calls.append(("attn_io_ms", "", lambda: s.attn_io(out, attn_map)))
+            for name, draw, fn in calls:
+                call(name, f"{name}[inputs {s.seed}{draw}]", fn, s)
+        # The non-local call is long: the median of three chunks on each
+        # side reads the speed around it more steadily.
         s = self.sets[0]
-        done.append(timed_call("nonlocal_f32_fwd_ms", f"nonlocal_f32_fwd_ms[inputs {s.seed}]",
-                               s.nonlocal_fwd, s))
+        call("nonlocal_f32_fwd_ms", f"nonlocal_f32_fwd_ms[inputs {s.seed}]", s.nonlocal_fwd, s, 3)
         return done
 
     @staticmethod
@@ -229,6 +343,8 @@ class AttentionRound:
             total += d.seconds
             if record:
                 tally.samples[d.name].append(d.seconds * 1e3)
+                if d.ref_ms:
+                    tally.samples[f"{d.name}/ref"].append(d.seconds * 1e3 / d.ref_ms)
             if d.name == "attn_io_ms":
                 _, out, attn_map = d.result
                 d.result = {"input": read_dpt(d.inputs.input_path), "out": read_dpt(out),
@@ -319,27 +435,42 @@ def check_verify(d: Done) -> None:
 
 
 def run_pass(rounds: RoundStream | None, tally: Tally, record: bool = True,
-             span=nullcontext()) -> float:
+             span=nullcontext(), ref: Reference | None = None) -> float:
     """One pass (an attention round, or with no rounds a verification pass).
 
-    Returns the wall time of its calls, the region `span` covers. Inputs are
-    built before the calls and outputs checked after them.
+    Returns the wall time of its calls, the region `span` covers, without
+    the reference chunks. Inputs are built before the calls and outputs
+    checked after them. With `ref`, a round is set against the median
+    reference chunk beside its calls, and a verification pass against the
+    median chunk sampled during it.
     """
     rnd = rounds.next() if rounds is not None else None
+    spent = ref.seconds if ref else 0.0
+    sampling = ref.sampling(REF_INTERVAL_S) if ref and rnd is None else nullcontext([])
     t0 = time.perf_counter()
-    with span:
-        done = rnd.execute() if rnd is not None else verify_call()
-    elapsed = time.perf_counter() - t0
+    with span, sampling as chunks:
+        done = rnd.execute(ref) if rnd is not None else verify_call()
+    in_chunks = ref.seconds - spent if ref else 0.0
+    elapsed = time.perf_counter() - t0 - in_chunks
     if rnd is not None:
         seconds = rnd.check(done, tally, record)
+        ref_ms = [d.ref_ms for d in done if d.ref_ms]
         if record:
             tally.samples["pass_s"].append(seconds)
+            if ref_ms:
+                tally.samples["pass_s/ref"].append(seconds * 1e3 / float(np.median(ref_ms)))
+                tally.samples[f"ref.{ref.kind}_ms"].extend(ref_ms)
         return elapsed
     if done.seconds is not None:
+        done.seconds -= in_chunks
         check_verify(done)
         tally.fingerprints.append((done.key, f"{zlib.crc32(done.result.encode()):08x}"))
         if record:
             tally.samples["pass_s"].append(done.seconds)
+            if chunks:
+                ref_ms = float(np.median(chunks))
+                tally.samples["pass_s/ref"].append(done.seconds * 1e3 / ref_ms)
+                tally.samples[f"ref.{ref.kind}_ms"].extend(chunks)
     tally.record(f"pass_s[{done.key}]", done.problems)
     return elapsed
 
@@ -452,37 +583,60 @@ def environment() -> dict:
 
 
 def measure(cfg: dict) -> dict:
-    """Set up, warm up, then run passes; `cfg` comes from run.py."""
+    """Set up, warm up, then run passes; `cfg` comes from run.py.
+
+    Mode "setup" stops after the warm-up, "measure" runs passes with the
+    reference kernel beside them until `budget_s` is spent, "trace" runs
+    TRACED_PASSES passes with span recording on and reference chunks only
+    between them.
+    """
     workload, seed, root = cfg["workload"], cfg["seed"], Path(cfg["root"])
     tally = Tally()
     workdir = root / ".poolbench_work" / str(os.getpid())
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        rounds = RoundStream(seed, cfg["first_index"], workdir) if workload == "paper96" else None
-        warm_up(workload, rounds, tally)
+        # The set-up is set against reference chunks sampled during it and
+        # SETUP_REF_CHUNKS more after it; their time is not set-up time.
+        reference = Reference("blas" if workload == "paper96" else "mixed")
+        with reference.sampling(REF_INTERVAL_S) as setup_chunks:
+            rounds = (RoundStream(seed, cfg["first_index"], workdir)
+                      if workload == "paper96" else None)
+            warm_up(workload, rounds, tally)
+        setup_chunks += [reference.chunk() for _ in range(SETUP_REF_CHUNKS)]
+        setup_ref_s = reference.seconds
         trace = None
         if cfg["mode"] == "trace":
             flops = flop_counts(InputSet(seed * 1_000_003, workdir), tally)
             tracer = tracing.Tracer()
             first_timed = time.monotonic()
+            # Reference chunks between the traced passes, outside their
+            # spans, give each pass's ratio to the machine's speed.
+            ratios = []
+            before = reference.chunk(TRACE_REF_CHUNKS)
             with tracing.installed(tracer):
                 for p in range(TRACED_PASSES):
-                    run_pass(rounds, tally, record=False, span=tracer.root(p))
+                    ms = run_pass(rounds, tally, record=False, span=tracer.root(p)) * 1e3
+                    after = reference.chunk(TRACE_REF_CHUNKS)
+                    ratios.append(ms * 2 / (before + after))
+                    before = after
             layers, counts = tracing.layer_metrics(tracer, TRACED_PASSES)
             if any(c != counts[0] for c in counts):
                 tally.record("counts", [f"exact counts differ between passes: {counts}"])
             out = root / ".poolbench_out"
             out.mkdir(exist_ok=True)
             tracer.save(out / f"spans-{workload}.npz")
-            trace = {**flops, **layers, **counts[0]}
+            trace = {**flops, **layers, **counts[0], "pass_ratio": float(np.median(ratios))}
             passes = TRACED_PASSES
+        elif cfg["mode"] == "setup":
+            first_timed = time.monotonic()
+            passes = 0
         else:
             first_timed = time.monotonic()
             start = time.perf_counter()
             passes = 0
             while True:
                 t0 = time.perf_counter()
-                tally.samples["cycle_s"].append(run_pass(rounds, tally))
+                tally.samples["cycle_s"].append(run_pass(rounds, tally, ref=reference))
                 passes += 1
                 last = time.perf_counter() - t0
                 if time.perf_counter() - start + last > cfg["budget_s"]:
@@ -491,6 +645,8 @@ def measure(cfg: dict) -> dict:
         shutil.rmtree(workdir, ignore_errors=True)
     return {
         "first_timed": first_timed,
+        "setup_ref_s": setup_ref_s,
+        "setup_ref_ms": float(np.median(setup_chunks)),
         "passes": passes,
         "attempted": tally.attempted,
         "failed": tally.failed,
