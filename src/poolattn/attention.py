@@ -9,8 +9,13 @@
   the max-minus-similarity difference (plain or squared) and reweights
   channels through a second zero-initialized gate.
 
-Forward and backward are pure; backward recomputes the forward stages so
-both always see identical values. The analytic reverse-mode derivations
+Every mechanism has one shape. Its `params` are a dict of its live arrays
+(`w_q`, `w_k`, `w_v` where it has projections, and the gate `lam` or `mu`
+as a 0-d float64 array), so a write into `params[k]` in place changes the
+next forward. `*_stages(x, ...)` returns `(out, attn, cache)`, and
+`*_stages_backward(cache, grad_out)` returns gradients keyed like `params`
+plus `x`, computed from the cached forward values. `*_forward` and
+`*_backward` are the one-call forms. The analytic reverse-mode derivations
 are validated against finite differences (see gradcheck).
 """
 
@@ -53,6 +58,10 @@ class ProjectionWeights:
     def reduced(self) -> int:
         return self.w_q.shape[0]
 
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v}
+
 
 def init_projection(rng: Rng, channels: int, reduced: int | None = None,
                     dtype: np.dtype = ops.F64) -> ProjectionWeights:
@@ -83,7 +92,7 @@ class SpaModule:
     mode: SpaMode
     k_spec: PyramidSpec
     v_spec: PyramidSpec
-    lam: float = 0.0
+    lam: np.ndarray | float = 0.0
 
     def __post_init__(self):
         if anchor_count(self.k_spec) != anchor_count(self.v_spec):
@@ -91,6 +100,11 @@ class SpaModule:
                 f"key/value pyramids must agree on anchor count: "
                 f"{self.k_spec.sizes} gives {anchor_count(self.k_spec)}, "
                 f"{self.v_spec.sizes} gives {anchor_count(self.v_spec)}")
+        self.lam = np.array(self.lam, dtype=np.float64)
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return {**self.proj.params, "lam": self.lam}
 
 
 def spa_module(proj: ProjectionWeights, mode: SpaMode, odd_spec: PyramidSpec | None = None,
@@ -115,46 +129,27 @@ class CpaModule:
 
     proj: ProjectionWeights | None
     mode: CpaMode
-    mu: float = 0.0
+    mu: np.ndarray | float = 0.0
 
     def __post_init__(self):
         if self.proj is not None and self.proj.reduced != self.proj.channels:
             raise ConfigurationError(
                 f"channel attention needs square projections (affinity is CxC), "
                 f"got {self.proj.reduced}x{self.proj.channels}")
+        self.mu = np.array(self.mu, dtype=np.float64)
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        # The gate leads here, as gradcheck reports have always listed CPA targets.
+        return {"mu": self.mu, **(self.proj.params if self.proj is not None else {})}
 
 
-@dataclass
-class NonLocalGrads:
-    x: np.ndarray
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    lam: float
-
-
-@dataclass
-class SpaGrads:
-    x: np.ndarray
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    lam: float
-
-
-@dataclass
-class CpaGrads:
-    x: np.ndarray
-    w_q: np.ndarray | None
-    w_k: np.ndarray | None
-    w_v: np.ndarray | None
-    mu: float
-
-
-def _flatten(x: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+def _flatten(x: np.ndarray, proj: ProjectionWeights | None) -> tuple[np.ndarray, int, int, int]:
     if x.ndim != 3:
         raise DimensionError(f"attention input must be CxHxW, got shape {x.shape}")
     c, h, w = x.shape
+    if proj is not None and proj.channels != c:
+        raise DimensionError(f"projection expects {proj.channels} channels, input has {c}")
     return x.reshape(c, h * w), c, h, w
 
 
@@ -176,12 +171,30 @@ def _softmax_cols_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return s * (grad - inner)
 
 
-# --- non-local baseline -------------------------------------------------
+def _gate_backward(g: np.ndarray, agg: np.ndarray,
+                   gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of `gate * agg + x` wrt the gate (0-d float64) and wrt agg."""
+    return np.asarray(np.sum(g * agg), dtype=np.float64), ops.scale(g, gate)
 
-def _nonlocal_stages(x: np.ndarray, proj: ProjectionWeights):
-    xf, c, h, w = _flatten(x)
-    if proj.channels != c:
-        raise DimensionError(f"projection expects {proj.channels} channels, input has {c}")
+
+def _projection_backward(proj: ProjectionWeights, xf: np.ndarray, shape: tuple[int, ...],
+                         g: np.ndarray, d_q: np.ndarray, d_k: np.ndarray,
+                         d_v: np.ndarray) -> dict[str, np.ndarray]:
+    """Weight gradients of the three 1x1 projections, and `x` with the residual g added."""
+    xt = ops.transpose2d(xf)
+    d_x = (g + ops.matmul(ops.transpose2d(proj.w_q), d_q)
+           + ops.matmul(ops.transpose2d(proj.w_k), d_k)
+           + ops.matmul(ops.transpose2d(proj.w_v), d_v))
+    return {"w_q": ops.matmul(d_q, xt), "w_k": ops.matmul(d_k, xt),
+            "w_v": ops.matmul(d_v, xt), "x": d_x.reshape(shape)}
+
+
+# --- non-local baseline -------------------------------------------------
+# Its learnables are `{**proj.params, "lam": lam}`; there is no module object.
+
+def nonlocal_stages(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | float):
+    """Full self-attention: (gated-residual output, N x N map, cache)."""
+    xf, c, h, w = _flatten(x, proj)
     alpha = _project(proj.w_q, xf)
     beta = _project(proj.w_k, xf)
     gamma = _project(proj.w_v, xf)
@@ -191,43 +204,39 @@ def _nonlocal_stages(x: np.ndarray, proj: ProjectionWeights):
     instrument.add("softmax", 5 * attn.size)
     agg = ops.transpose2d(ops.matmul(attn, ops.transpose2d(gamma)))  # C x N
     instrument.add("agg", 2 * c * attn.size)
-    return xf, (c, h, w), alpha, beta, gamma, attn, agg
+    out = ops.add(ops.scale(agg, lam), xf).reshape(c, h, w)
+    return out, attn, (x.shape, xf, proj, lam, alpha, beta, gamma, attn, agg)
 
 
-def nonlocal_forward(x: np.ndarray, proj: ProjectionWeights,
-                     lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Full self-attention baseline; returns the gated-residual output and the N x N map."""
-    xf, (c, h, w), _, _, _, attn, agg = _nonlocal_stages(x, proj)
-    out = ops.add(ops.scale(agg, lam), xf)
-    return out.reshape(c, h, w), attn
-
-
-def nonlocal_backward(x: np.ndarray, proj: ProjectionWeights, lam: float,
-                      grad_out: np.ndarray) -> NonLocalGrads:
-    xf, (c, h, w), alpha, beta, gamma, attn, agg = _nonlocal_stages(x, proj)
-    g = grad_out.reshape(c, h * w)
-    d_lam = float(np.sum(g * agg))
-    d_agg = ops.scale(g, lam)
+def nonlocal_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    shape, xf, proj, lam, alpha, beta, gamma, attn, agg = cache
+    g = grad_out.reshape(xf.shape)
+    d_lam, d_agg = _gate_backward(g, agg, lam)
     d_attn = ops.matmul(ops.transpose2d(d_agg), gamma)                   # N x N
     d_gamma = ops.matmul(d_agg, attn)                                    # C x N
     d_logits = ops.softmax_rows_backward(attn, d_attn)
     d_alpha = ops.matmul(beta, ops.transpose2d(d_logits))                # chat x N
     d_beta = ops.matmul(alpha, d_logits)                                 # chat x N
-    d_wq = ops.matmul(d_alpha, ops.transpose2d(xf))
-    d_wk = ops.matmul(d_beta, ops.transpose2d(xf))
-    d_wv = ops.matmul(d_gamma, ops.transpose2d(xf))
-    d_x = (g + ops.matmul(ops.transpose2d(proj.w_q), d_alpha)
-           + ops.matmul(ops.transpose2d(proj.w_k), d_beta)
-           + ops.matmul(ops.transpose2d(proj.w_v), d_gamma))
-    return NonLocalGrads(d_x.reshape(c, h, w), d_wq, d_wk, d_wv, d_lam)
+    return {**_projection_backward(proj, xf, shape, g, d_alpha, d_beta, d_gamma),
+            "lam": d_lam}
+
+
+def nonlocal_forward(x: np.ndarray, proj: ProjectionWeights,
+                     lam: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Full self-attention baseline; returns the gated-residual output and the N x N map."""
+    return nonlocal_stages(x, proj, lam)[:2]
+
+
+def nonlocal_backward(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | float,
+                      grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    return nonlocal_stages_backward(nonlocal_stages(x, proj, lam)[2], grad_out)
 
 
 # --- spatial pool attention ----------------------------------------------
 
-def _spa_stages(x: np.ndarray, m: SpaModule):
-    xf, c, h, w = _flatten(x)
-    if m.proj.channels != c:
-        raise DimensionError(f"projection expects {m.proj.channels} channels, input has {c}")
+def spa_stages(x: np.ndarray, m: SpaModule):
+    """Pyramid-anchored attention: (output, T x N anchor map, cache)."""
+    xf, c, h, w = _flatten(x, m.proj)
     q = _project(m.proj.w_q, xf)
     k_map = _project(m.proj.w_k, xf).reshape(m.proj.reduced, h, w)
     v_map = _project(m.proj.w_v, xf).reshape(c, h, w)
@@ -239,21 +248,15 @@ def _spa_stages(x: np.ndarray, m: SpaModule):
     instrument.add("softmax", 5 * attn.size)
     agg = ops.matmul(v_pool, attn)                       # C x N
     instrument.add("agg", 2 * c * attn.size)
-    return xf, (c, h, w), q, k_pool, v_pool, attn, agg
+    out = ops.add(ops.scale(agg, m.lam), xf).reshape(c, h, w)
+    return out, attn, (x.shape, xf, m, q, k_pool, v_pool, attn, agg)
 
 
-def spa_forward(x: np.ndarray, m: SpaModule) -> tuple[np.ndarray, np.ndarray]:
-    """Pyramid-anchored attention; returns the output and the T x N anchor map."""
-    xf, (c, h, w), _, _, _, attn, agg = _spa_stages(x, m)
-    out = ops.add(ops.scale(agg, m.lam), xf)
-    return out.reshape(c, h, w), attn
-
-
-def spa_backward(x: np.ndarray, m: SpaModule, grad_out: np.ndarray) -> SpaGrads:
-    xf, (c, h, w), q, k_pool, v_pool, attn, agg = _spa_stages(x, m)
-    g = grad_out.reshape(c, h * w)
-    d_lam = float(np.sum(g * agg))
-    d_agg = ops.scale(g, m.lam)
+def spa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    shape, xf, m, q, k_pool, v_pool, attn, agg = cache
+    c, h, w = shape
+    g = grad_out.reshape(xf.shape)
+    d_lam, d_agg = _gate_backward(g, agg, m.lam)
     d_vpool = ops.matmul(d_agg, ops.transpose2d(attn))   # C x T
     d_attn = ops.matmul(ops.transpose2d(v_pool), d_agg)  # T x N
     d_logits = _softmax_cols_backward(attn, d_attn)
@@ -261,21 +264,23 @@ def spa_backward(x: np.ndarray, m: SpaModule, grad_out: np.ndarray) -> SpaGrads:
     d_q = ops.matmul(k_pool, d_logits)                   # chat x N
     d_kmap = pyramid_pool_backward(d_kpool, m.k_spec, h, w).reshape(m.proj.reduced, h * w)
     d_vmap = pyramid_pool_backward(d_vpool, m.v_spec, h, w).reshape(c, h * w)
-    d_wq = ops.matmul(d_q, ops.transpose2d(xf))
-    d_wk = ops.matmul(d_kmap, ops.transpose2d(xf))
-    d_wv = ops.matmul(d_vmap, ops.transpose2d(xf))
-    d_x = (g + ops.matmul(ops.transpose2d(m.proj.w_q), d_q)
-           + ops.matmul(ops.transpose2d(m.proj.w_k), d_kmap)
-           + ops.matmul(ops.transpose2d(m.proj.w_v), d_vmap))
-    return SpaGrads(d_x.reshape(c, h, w), d_wq, d_wk, d_wv, d_lam)
+    return {**_projection_backward(m.proj, xf, shape, g, d_q, d_kmap, d_vmap), "lam": d_lam}
+
+
+def spa_forward(x: np.ndarray, m: SpaModule) -> tuple[np.ndarray, np.ndarray]:
+    """Pyramid-anchored attention; returns the output and the T x N anchor map."""
+    return spa_stages(x, m)[:2]
+
+
+def spa_backward(x: np.ndarray, m: SpaModule, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    return spa_stages_backward(spa_stages(x, m)[2], grad_out)
 
 
 # --- channel pool attention ----------------------------------------------
 
-def _cpa_stages(x: np.ndarray, m: CpaModule):
-    xf, c, h, w = _flatten(x)
-    if m.proj is not None and m.proj.channels != c:
-        raise DimensionError(f"projection expects {m.proj.channels} channels, input has {c}")
+def cpa_stages(x: np.ndarray, m: CpaModule):
+    """Channel reweighting through the max-difference affinity: (output, C x C map, cache)."""
+    xf, c, h, w = _flatten(x, m.proj)
     if m.proj is None:
         q = k = v = xf
     else:
@@ -291,21 +296,14 @@ def _cpa_stages(x: np.ndarray, m: CpaModule):
     instrument.add("softmax", 5 * attn.size)
     agg = ops.matmul(attn, v)                            # C x N
     instrument.add("agg", 2 * v.shape[1] * attn.size)
-    return xf, (c, h, w), q, k, v, d, diff, attn, agg
+    out = ops.add(ops.scale(agg, m.mu), xf).reshape(c, h, w)
+    return out, attn, (x.shape, xf, m, q, k, v, d, diff, attn, agg)
 
 
-def cpa_forward(x: np.ndarray, m: CpaModule) -> tuple[np.ndarray, np.ndarray]:
-    """Channel reweighting through the max-difference affinity; returns output and C x C map."""
-    xf, (c, h, w), _, _, _, _, _, attn, agg = _cpa_stages(x, m)
-    out = ops.add(ops.scale(agg, m.mu), xf)
-    return out.reshape(c, h, w), attn
-
-
-def cpa_backward(x: np.ndarray, m: CpaModule, grad_out: np.ndarray) -> CpaGrads:
-    xf, (c, h, w), q, k, v, d, diff, attn, agg = _cpa_stages(x, m)
-    g = grad_out.reshape(c, h * w)
-    d_mu = float(np.sum(g * agg))
-    d_agg = ops.scale(g, m.mu)
+def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    shape, xf, m, q, k, v, d, diff, attn, agg = cache
+    g = grad_out.reshape(xf.shape)
+    d_mu, d_agg = _gate_backward(g, agg, m.mu)
     d_attn = ops.matmul(d_agg, ops.transpose2d(v))       # C x C
     d_v = ops.matmul(ops.transpose2d(attn), d_agg)       # C x N
     d_gated = ops.softmax_rows_backward(attn, d_attn)
@@ -317,25 +315,24 @@ def cpa_backward(x: np.ndarray, m: CpaModule, grad_out: np.ndarray) -> CpaGrads:
     d_q = ops.matmul(d_d, k)                             # C x N
     d_k = ops.matmul(ops.transpose2d(d_d), q)            # C x N
     if m.proj is None:
-        d_x = g + d_q + d_k + d_v
-        return CpaGrads(d_x.reshape(c, h, w), None, None, None, d_mu)
-    d_wq = ops.matmul(d_q, ops.transpose2d(xf))
-    d_wk = ops.matmul(d_k, ops.transpose2d(xf))
-    d_wv = ops.matmul(d_v, ops.transpose2d(xf))
-    d_x = (g + ops.matmul(ops.transpose2d(m.proj.w_q), d_q)
-           + ops.matmul(ops.transpose2d(m.proj.w_k), d_k)
-           + ops.matmul(ops.transpose2d(m.proj.w_v), d_v))
-    return CpaGrads(d_x.reshape(c, h, w), d_wq, d_wk, d_wv, d_mu)
+        return {"mu": d_mu, "x": (g + d_q + d_k + d_v).reshape(shape)}
+    return {"mu": d_mu, **_projection_backward(m.proj, xf, shape, g, d_q, d_k, d_v)}
+
+
+def cpa_forward(x: np.ndarray, m: CpaModule) -> tuple[np.ndarray, np.ndarray]:
+    """Channel reweighting through the max-difference affinity; returns output and C x C map."""
+    return cpa_stages(x, m)[:2]
+
+
+def cpa_backward(x: np.ndarray, m: CpaModule, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    return cpa_stages_backward(cpa_stages(x, m)[2], grad_out)
 
 
 def param_count(obj) -> int:
-    """Learnable scalars in a module: projection entries plus the gate; pyramids hold none."""
+    """Learnable scalars: the sizes of `obj.params` summed; pyramids hold none."""
     if isinstance(obj, PyramidSpec):
         return 0
-    if isinstance(obj, ProjectionWeights):
-        return obj.w_q.size + obj.w_k.size + obj.w_v.size
-    if isinstance(obj, SpaModule):
-        return param_count(obj.proj) + 1
-    if isinstance(obj, CpaModule):
-        return (param_count(obj.proj) if obj.proj is not None else 0) + 1
-    raise ConfigurationError(f"param_count: unsupported object {type(obj).__name__}")
+    params = getattr(obj, "params", None)
+    if not isinstance(params, dict):
+        raise ConfigurationError(f"param_count: unsupported object {type(obj).__name__}")
+    return sum(p.size for p in params.values())

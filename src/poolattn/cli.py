@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import harness, ops
+from . import harness
 from .errors import (ComparisonError, ConfigurationError, DimensionError, DptFormatError,
                      LabelError, NonFiniteError, PoolSizeError, ResourceLimitError,
                      TrainingDivergenceError)
@@ -264,8 +264,6 @@ def main(argv: list[str] | None = None) -> int:
         cap = harness.thread_cap()  # validated here; applied at import in __init__
         if cap is not None and args.command == "bench":
             print(f"thread cap: {cap}", file=sys.stderr)
-        if getattr(args, "serial", False):
-            ops.set_serial_matmul(True)
         return _run(args, parser)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

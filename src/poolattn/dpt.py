@@ -9,12 +9,15 @@ Layout, all little-endian:
     payload row-major values
 
 A JSON file {"shape": [...], "data": [...], "dtype": "f64"} is accepted
-anywhere a DPT file is, for small hand-written fixtures.
+anywhere a DPT file is, for small hand-written fixtures. read_tensor also
+rejects NaN and Inf, so a bad input is reported as a format error that
+names the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -61,7 +64,7 @@ def read_dpt(path: str | Path) -> np.ndarray:
     if any(d < 1 for d in dims):
         raise DptFormatError(f"{path}: dims must be >= 1, got {dims}")
     dtype = _DTYPE_CODES[code]
-    expected = int(np.prod(dims)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize
     if len(raw) - dims_end != expected:
         raise DptFormatError(f"{path}: payload length mismatch, expected {expected} bytes, "
                              f"got {len(raw) - dims_end}")
@@ -71,10 +74,15 @@ def read_dpt(path: str | Path) -> np.ndarray:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a tensor from either a DPT file or the JSON form."""
+    """Read a finite tensor from either a DPT file or the JSON form."""
     raw = Path(path).read_bytes()
-    if raw[:8] == MAGIC:
-        return read_dpt(path)
+    arr = read_dpt(path) if raw[:8] == MAGIC else _read_json_tensor(path, raw)
+    if not np.isfinite(arr).all():
+        raise DptFormatError(f"{path}: tensor holds NaN or Inf values")
+    return arr
+
+
+def _read_json_tensor(path: str | Path, raw: bytes) -> np.ndarray:
     try:
         obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -84,9 +92,15 @@ def read_tensor(path: str | Path) -> np.ndarray:
     dtype = {"f32": np.float32, "f64": np.float64}.get(obj.get("dtype", "f64"))
     if dtype is None:
         raise DptFormatError(f"{path}: JSON tensor dtype must be 'f32' or 'f64'")
-    shape = tuple(int(d) for d in obj["shape"])
-    data = np.asarray(obj["data"], dtype=dtype).reshape(-1)
-    if data.size != int(np.prod(shape)):
+    try:
+        shape = tuple(int(d) for d in obj["shape"])
+        data = np.asarray(obj["data"], dtype=dtype).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise DptFormatError(f"{path}: JSON tensor shape and data must be numbers "
+                             f"({exc})") from exc
+    if any(d < 1 for d in shape):
+        raise DptFormatError(f"{path}: dims must be >= 1, got {shape}")
+    if data.size != math.prod(shape):
         raise DptFormatError(f"{path}: JSON tensor data length {data.size} "
                              f"does not match shape {shape}")
     return data.reshape(shape)

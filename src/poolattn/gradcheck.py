@@ -2,7 +2,8 @@
 
 A check builds a scalar loss (fixed random weights contracted with the
 module output), runs the analytic backward once, and probes every entry
-of every learnable plus the input with central differences. Errors are
+of every learnable plus the input with central differences, perturbing
+the module's live `params` in place. Errors are
 relative: |a - n| / max(|a|, |n|, 1e-8), so true-zero gradients compare
 cleanly. Checking is float64-only; float32 backward passes are validated
 separately by agreement with their float64 twins.
@@ -17,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from . import network
-from .attention import (CpaMode, CpaModule, ProjectionWeights, SpaMode, cpa_backward,
-                        cpa_forward, init_projection, nonlocal_backward, nonlocal_forward,
-                        spa_backward, spa_forward, spa_module)
+from .attention import (CpaMode, CpaModule, SpaMode, cpa_backward, cpa_forward,
+                        init_projection, nonlocal_backward, nonlocal_forward, spa_backward,
+                        spa_forward, spa_module)
 from .errors import ConfigurationError, NonFiniteError, OracleError
 from .pooling import PyramidSpec
 from .rng import Rng
@@ -49,29 +50,33 @@ class GradCheckReport:
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
                      h: float = 1e-5) -> np.ndarray:
-    """Central differences (f(x+h*e) - f(x-h*e)) / 2h for every entry of x."""
+    """Central differences (f(x+h*e) - f(x-h*e)) / 2h for every entry of x.
+
+    x must be a float64 array. It is perturbed in place, one entry at a
+    time, and each entry is restored before the next, so f may read x
+    through any alias, such as the live `params` of a module.
+    """
     if h <= 0:
         raise ConfigurationError(f"finite-difference step must be positive, got {h}")
-    grad = np.zeros_like(x, dtype=np.float64)
-    flat_grad = grad.reshape(-1)
-    base = x.astype(np.float64).copy()
-    flat = base.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        try:
-            up = f(base)
-        except NonFiniteError as exc:
-            raise OracleError(f"probe +h at entry {i} evaluated non-finite") from exc
-        flat[i] = orig - h
-        try:
-            down = f(base)
-        except NonFiniteError as exc:
-            raise OracleError(f"probe -h at entry {i} evaluated non-finite") from exc
-        flat[i] = orig
+    if not isinstance(x, np.ndarray) or x.dtype != np.float64:
+        raise ConfigurationError("finite differences need a float64 array, "
+                                 f"got {getattr(x, 'dtype', type(x).__name__)}")
+    grad = np.zeros(x.shape, dtype=np.float64)
+    for i, idx in enumerate(np.ndindex(x.shape)):
+        orig = x[idx]
+        probes = []
+        for sign, value in (("+h", orig + h), ("-h", orig - h)):
+            x[idx] = value
+            try:
+                probes.append(f(x))
+            except NonFiniteError as exc:
+                raise OracleError(f"probe {sign} at entry {i} evaluated non-finite") from exc
+            finally:
+                x[idx] = orig
+        up, down = probes
         if not (math.isfinite(up) and math.isfinite(down)):
             raise OracleError(f"probe at entry {i} evaluated non-finite")
-        flat_grad[i] = (up - down) / (2.0 * h)
+        grad[idx] = (up - down) / (2.0 * h)
     return grad
 
 
@@ -92,156 +97,81 @@ def compare_grads(target: str, analytic: np.ndarray, numeric: np.ndarray,
     )
 
 
-def _check_targets(loss: Callable[[dict[str, np.ndarray]], float],
-                   analytic: dict[str, np.ndarray],
-                   bases: dict[str, np.ndarray], h: float,
-                   tol: float) -> list[GradCheckReport]:
-    reports = []
-    for name, base in bases.items():
-        numeric = finite_diff_grad(lambda arr, _n=name: loss({_n: arr}), base, h)
-        reports.append(compare_grads(name, analytic[name], numeric, tol))
-    return reports
-
-
-def _scalar(arr_or_float) -> np.ndarray:
-    return np.array([float(arr_or_float)], dtype=np.float64)
-
-
 def check_module(kind: str, config: dict, seed: int = 0, h: float = 1e-5,
                  tol: float = 1e-4) -> list[GradCheckReport]:
     """Finite-difference-check one configuration; returns a report per target."""
+    if kind not in _CASES:
+        raise ConfigurationError(f"unknown gradcheck kind {kind!r}")
     rng = Rng(seed)
-    if kind == "nonlocal":
-        return _check_nonlocal(config, rng, h, tol)
-    if kind == "spa":
-        return _check_spa(config, rng, h, tol)
-    if kind == "cpa":
-        return _check_cpa(config, rng, h, tol)
-    if kind == "network":
-        return _check_network(config, rng, seed, h, tol)
-    raise ConfigurationError(f"unknown gradcheck kind {kind!r}")
+    targets, forward, backward, out_shape = _CASES[kind](config, rng, seed)
+    weights = rng.fill_uniform(out_shape, 1.0)
+    analytic = backward(weights)
+
+    def loss(_probed: np.ndarray) -> float:
+        return float(np.sum(weights * forward()))
+
+    return [compare_grads(name, analytic[name], finite_diff_grad(loss, target, h), tol)
+            for name, target in targets.items()]
 
 
-def _check_nonlocal(config, rng, h, tol):
-    c, chat = config["c"], config.get("chat", config["c"])
-    hh, ww = config["h"], config["w"]
+# Each case draws its module and input from the check's Rng, then returns
+# (targets, forward, backward, output shape). `targets` holds the input and
+# the module's live params, in report order; `forward()` calls the public
+# forward on them and `backward(g)` returns gradients keyed like `targets`.
+
+def _dims(config: dict) -> tuple[int, int, tuple[int, int]]:
+    return config["c"], config.get("chat", config["c"]), (config["h"], config["w"])
+
+
+def _gate(config: dict, key: str, rng: Rng) -> float:
+    return 0.5 + rng.next_unit() if config.get(key) is None else float(config[key])
+
+
+def _nonlocal_case(config, rng, seed):
+    c, chat, hw = _dims(config)
     proj = init_projection(rng, c, chat)
-    lam = 0.5 + rng.next_unit()
-    x = rng.fill_uniform((c, hh, ww), 1.0)
-    weights = rng.fill_uniform((c, hh, ww), 1.0)
-
-    def loss(repl: dict[str, np.ndarray]) -> float:
-        p = ProjectionWeights(repl.get("w_q", proj.w_q), repl.get("w_k", proj.w_k),
-                              repl.get("w_v", proj.w_v))
-        lam_v = float(repl["lam"][0]) if "lam" in repl else lam
-        out, _ = nonlocal_forward(repl.get("x", x), p, lam_v)
-        return float(np.sum(weights * out))
-
-    g = nonlocal_backward(x, proj, lam, weights)
-    analytic = {"x": g.x, "w_q": g.w_q, "w_k": g.w_k, "w_v": g.w_v, "lam": _scalar(g.lam)}
-    bases = {"x": x, "w_q": proj.w_q, "w_k": proj.w_k, "w_v": proj.w_v, "lam": _scalar(lam)}
-    return _check_targets(loss, analytic, bases, h, tol)
+    lam = np.array(0.5 + rng.next_unit())
+    x = rng.fill_uniform((c, *hw), 1.0)
+    return ({"x": x, **proj.params, "lam": lam},
+            lambda: nonlocal_forward(x, proj, lam)[0],
+            lambda g: nonlocal_backward(x, proj, lam, g), x.shape)
 
 
-def _check_spa(config, rng, h, tol):
-    c, chat = config["c"], config.get("chat", config["c"])
-    hh, ww = config["h"], config["w"]
-    mode = SpaMode(config.get("mode", "only-odd"))
+def _spa_case(config, rng, seed):
+    c, chat, hw = _dims(config)
     odd = PyramidSpec(tuple(config["odd"])) if "odd" in config else None
     even = PyramidSpec(tuple(config["even"])) if "even" in config else None
     proj = init_projection(rng, c, chat)
-    lam = 0.5 + rng.next_unit() if config.get("lam") is None else float(config["lam"])
-    module = spa_module(proj, mode, odd_spec=odd, even_spec=even, lam=lam)
-    x = rng.fill_uniform((c, hh, ww), 1.0)
-    weights = rng.fill_uniform((c, hh, ww), 1.0)
-
-    def loss(repl: dict[str, np.ndarray]) -> float:
-        p = ProjectionWeights(repl.get("w_q", proj.w_q), repl.get("w_k", proj.w_k),
-                              repl.get("w_v", proj.w_v))
-        lam_v = float(repl["lam"][0]) if "lam" in repl else lam
-        m = spa_module(p, mode, odd_spec=odd, even_spec=even, lam=lam_v)
-        out, _ = spa_forward(repl.get("x", x), m)
-        return float(np.sum(weights * out))
-
-    g = spa_backward(x, module, weights)
-    analytic = {"x": g.x, "w_q": g.w_q, "w_k": g.w_k, "w_v": g.w_v, "lam": _scalar(g.lam)}
-    bases = {"x": x, "w_q": proj.w_q, "w_k": proj.w_k, "w_v": proj.w_v, "lam": _scalar(lam)}
-    return _check_targets(loss, analytic, bases, h, tol)
+    m = spa_module(proj, SpaMode(config.get("mode", "only-odd")), odd_spec=odd,
+                   even_spec=even, lam=_gate(config, "lam", rng))
+    x = rng.fill_uniform((c, *hw), 1.0)
+    return ({"x": x, **m.params}, lambda: spa_forward(x, m)[0],
+            lambda g: spa_backward(x, m, g), x.shape)
 
 
-def _check_cpa(config, rng, h, tol):
-    c = config["c"]
-    hh, ww = config["h"], config["w"]
-    mode = CpaMode(config.get("mode", "subtract"))
-    with_proj = bool(config.get("with_proj", False))
-    proj = init_projection(rng, c) if with_proj else None
-    mu = 0.5 + rng.next_unit() if config.get("mu") is None else float(config["mu"])
-    module = CpaModule(proj, mode, mu)
-    x = rng.fill_uniform((c, hh, ww), 1.0)
-    weights = rng.fill_uniform((c, hh, ww), 1.0)
-
-    def loss(repl: dict[str, np.ndarray]) -> float:
-        if proj is None:
-            p = None
-        else:
-            p = ProjectionWeights(repl.get("w_q", proj.w_q), repl.get("w_k", proj.w_k),
-                                  repl.get("w_v", proj.w_v))
-        mu_v = float(repl["mu"][0]) if "mu" in repl else mu
-        out, _ = cpa_forward(repl.get("x", x), CpaModule(p, mode, mu_v))
-        return float(np.sum(weights * out))
-
-    g = cpa_backward(x, module, weights)
-    analytic = {"x": g.x, "mu": _scalar(g.mu)}
-    bases = {"x": x, "mu": _scalar(mu)}
-    if proj is not None:
-        analytic.update({"w_q": g.w_q, "w_k": g.w_k, "w_v": g.w_v})
-        bases.update({"w_q": proj.w_q, "w_k": proj.w_k, "w_v": proj.w_v})
-    return _check_targets(loss, analytic, bases, h, tol)
+def _cpa_case(config, rng, seed):
+    c, _, hw = _dims(config)
+    proj = init_projection(rng, c) if config.get("with_proj", False) else None
+    m = CpaModule(proj, CpaMode(config.get("mode", "subtract")), _gate(config, "mu", rng))
+    x = rng.fill_uniform((c, *hw), 1.0)
+    return ({"x": x, **m.params}, lambda: cpa_forward(x, m)[0],
+            lambda g: cpa_backward(x, m, g), x.shape)
 
 
-def _check_network(config, rng, seed, h, tol):
+def _network_case(config, rng, seed):
     size = config.get("size", 8)
-    channels = config.get("channels", 16)
-    model = network.build_model(seed, channels=channels,
+    model = network.build_model(seed, channels=config.get("channels", 16),
                                 classes=config.get("classes", 2),
                                 odd_spec=PyramidSpec(tuple(config.get("odd", (1, 3)))))
-    model.spa.lam = 0.5 + rng.next_unit()
-    model.cpa.mu = 0.5 + rng.next_unit()
+    model.spa.lam[...] = 0.5 + rng.next_unit()
+    model.cpa.mu[...] = 0.5 + rng.next_unit()
     image = rng.fill_uniform((3, size, size), 1.0)
-    weights = rng.fill_uniform((model.classes, size, size), 1.0)
+    return ({**model.params, "image": image}, lambda: network.forward(model, image),
+            lambda g: network.backward(model, image, g), (model.classes, size, size))
 
-    named = dict(model.parameters())
 
-    def loss(repl: dict[str, np.ndarray]) -> float:
-        saved = {}
-        for name, arr in repl.items():
-            if name == "image" or name in ("lam", "mu"):
-                continue
-            saved[name] = named[name].copy()
-            named[name][...] = arr
-        lam0, mu0 = model.spa.lam, model.cpa.mu
-        if "lam" in repl:
-            model.spa.lam = float(repl["lam"][0])
-        if "mu" in repl:
-            model.cpa.mu = float(repl["mu"][0])
-        try:
-            out = network.forward(model, repl.get("image", image))
-            return float(np.sum(weights * out))
-        finally:
-            for name, arr in saved.items():
-                named[name][...] = arr
-            model.spa.lam, model.cpa.mu = lam0, mu0
-
-    g = network.backward(model, image, weights)
-    flat = {"stem_w1": g.stem_w1, "stem_w2": g.stem_w2, "spa.w_q": g.spa.w_q,
-            "spa.w_k": g.spa.w_k, "spa.w_v": g.spa.w_v, "fuse_w": g.fuse_w,
-            "lam": _scalar(g.spa.lam), "mu": _scalar(g.cpa.mu), "image": g.image}
-    bases = {name: arr for name, arr in named.items()}
-    bases.update({"lam": _scalar(model.spa.lam), "mu": _scalar(model.cpa.mu),
-                  "image": image})
-    if model.cpa.proj is not None:
-        flat.update({"cpa.w_q": g.cpa.w_q, "cpa.w_k": g.cpa.w_k, "cpa.w_v": g.cpa.w_v})
-    return _check_targets(loss, flat, bases, h, tol)
+_CASES = {"nonlocal": _nonlocal_case, "spa": _spa_case, "cpa": _cpa_case,
+          "network": _network_case}
 
 
 # The fixed verification matrix: every mechanism, every mode, reduced and

@@ -7,6 +7,7 @@ train-demo report is deterministic byte-for-byte for fixed flags.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import statistics
 import sys
@@ -105,7 +106,7 @@ def bench_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
             samples.append((time.perf_counter() - t0) * 1000.0)
         return statistics.median(samples)
 
-    with ops.serial_matmul() if serial else _null_context():
+    with ops.serial_matmul() if serial else contextlib.nullcontext():
         nb_ms = timed(lambda: nonlocal_forward(x, proj, 1.0))
         spa_ms = timed(lambda: spa_forward(x, module))
 
@@ -122,14 +123,6 @@ def bench_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
         "repetitions": reps,
         "warmup": warmup,
     }
-
-
-class _null_context:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 def equivalence_report(seeds: int, sizes: list[int], channels: list[int],

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .attention import (CpaGrads, CpaMode, CpaModule, SpaGrads, SpaMode, SpaModule,
-                        cpa_backward, cpa_forward, init_projection, spa_backward,
-                        spa_forward, spa_module)
+from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_stages,
+                        cpa_stages_backward, init_projection, spa_module, spa_stages,
+                        spa_stages_backward)
 from .errors import ConfigurationError, NonFiniteError, TrainingDivergenceError
 from .pooling import TOY_EVEN_MATCHED, TOY_ODD, TOY_ODD_MATCHED, PyramidSpec
 from .rng import Rng
@@ -43,16 +43,21 @@ class DpaNetMini:
     def classes(self) -> int:
         return self.fuse_w.shape[0]
 
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """Weight arrays by name; the scalar gates are handled separately by the trainer."""
-        named = [("stem_w1", self.stem_w1), ("stem_w2", self.stem_w2),
-                 ("spa.w_q", self.spa.proj.w_q), ("spa.w_k", self.spa.proj.w_k),
-                 ("spa.w_v", self.spa.proj.w_v)]
-        if self.cpa.proj is not None:
-            named += [("cpa.w_q", self.cpa.proj.w_q), ("cpa.w_k", self.cpa.proj.w_k),
-                      ("cpa.w_v", self.cpa.proj.w_v)]
-        named.append(("fuse_w", self.fuse_w))
-        return named
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """Every learnable's live array: the modules' weights prefixed, the gates last."""
+        return _net_keys(self.stem_w1, self.stem_w2, self.spa.params, self.cpa.params,
+                         self.fuse_w)
+
+
+def _net_keys(stem_w1, stem_w2, spa: dict, cpa: dict, fuse_w) -> dict[str, np.ndarray]:
+    """Network-level names for per-module entries; the gates keep their bare names."""
+    spa, cpa = dict(spa), dict(cpa)
+    gates = {"lam": spa.pop("lam"), "mu": cpa.pop("mu")}
+    return {"stem_w1": stem_w1, "stem_w2": stem_w2,
+            **{f"spa.{k}": v for k, v in spa.items()},
+            **{f"cpa.{k}": v for k, v in cpa.items()},
+            "fuse_w": fuse_w, **gates}
 
 
 def build_model(seed: int, channels: int = 16, classes: int = 2,
@@ -78,53 +83,43 @@ def build_model(seed: int, channels: int = 16, classes: int = 2,
     return DpaNetMini(stem_w1, stem_w2, spa, cpa, fuse_w)
 
 
-def _stem(model: DpaNetMini, image: np.ndarray):
+def stages(model: DpaNetMini, image: np.ndarray):
+    """The forward pass: (logits, cache for stages_backward)."""
     pre1 = ops.conv2d_same(image, model.stem_w1)
     f1 = ops.relu(pre1)
     pre2 = ops.conv2d_same(f1, model.stem_w2)
-    f2 = ops.relu(pre2)
-    return pre1, f1, pre2, f2
-
-
-def forward(model: DpaNetMini, image: np.ndarray) -> np.ndarray:
-    """Logits with the same spatial size as the input image."""
-    _, _, _, feats = _stem(model, image)
-    spa_out, _ = spa_forward(feats, model.spa)
-    cpa_out, _ = cpa_forward(feats, model.cpa)
-    return ops.conv1x1(ops.concat_channels(spa_out, cpa_out), model.fuse_w)
-
-
-@dataclass
-class NetGrads:
-    stem_w1: np.ndarray
-    stem_w2: np.ndarray
-    spa: SpaGrads
-    cpa: CpaGrads
-    fuse_w: np.ndarray
-    image: np.ndarray
-
-
-def backward(model: DpaNetMini, image: np.ndarray, grad_logits: np.ndarray) -> NetGrads:
-    """Analytic gradients of a logits-contracted loss wrt every learnable and the image."""
-    pre1, f1, pre2, feats = _stem(model, image)
-    spa_out, _ = spa_forward(feats, model.spa)
-    cpa_out, _ = cpa_forward(feats, model.cpa)
+    feats = ops.relu(pre2)
+    spa_out, _, spa_cache = spa_stages(feats, model.spa)
+    cpa_out, _, cpa_cache = cpa_stages(feats, model.cpa)
     cat = ops.concat_channels(spa_out, cpa_out)
+    logits = ops.conv1x1(cat, model.fuse_w)
+    return logits, (model, image, pre1, f1, pre2, cat, spa_cache, cpa_cache)
 
+
+def stages_backward(cache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of a logits-contracted loss, keyed like `model.params` plus `image`."""
+    model, image, pre1, f1, pre2, cat, spa_cache, cpa_cache = cache
     c, h, w = cat.shape
     g_flat = grad_logits.reshape(model.classes, h * w)
     d_fuse = ops.matmul(g_flat, ops.transpose2d(cat.reshape(c, h * w)))
     d_cat = ops.matmul(ops.transpose2d(model.fuse_w), g_flat).reshape(c, h, w)
     half = model.channels
-    sg = spa_backward(feats, model.spa, np.ascontiguousarray(d_cat[:half]))
-    cg = cpa_backward(feats, model.cpa, np.ascontiguousarray(d_cat[half:]))
-    d_feats = sg.x + cg.x
-
-    d_pre2 = d_feats * (pre2 > 0)
+    sg = spa_stages_backward(spa_cache, np.ascontiguousarray(d_cat[:half]))
+    cg = cpa_stages_backward(cpa_cache, np.ascontiguousarray(d_cat[half:]))
+    d_pre2 = (sg.pop("x") + cg.pop("x")) * (pre2 > 0)
     d_f1, d_w2 = ops.conv2d_same_backward(f1, model.stem_w2, d_pre2)
-    d_pre1 = d_f1 * (pre1 > 0)
-    d_img, d_w1 = ops.conv2d_same_backward(image, model.stem_w1, d_pre1)
-    return NetGrads(d_w1, d_w2, sg, cg, d_fuse, d_img)
+    d_img, d_w1 = ops.conv2d_same_backward(image, model.stem_w1, d_f1 * (pre1 > 0))
+    return {**_net_keys(d_w1, d_w2, sg, cg, d_fuse), "image": d_img}
+
+
+def forward(model: DpaNetMini, image: np.ndarray) -> np.ndarray:
+    """Logits with the same spatial size as the input image."""
+    return stages(model, image)[0]
+
+
+def backward(model: DpaNetMini, image: np.ndarray,
+             grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+    return stages_backward(stages(model, image)[1], grad_logits)
 
 
 # --- synthetic data -------------------------------------------------------
@@ -233,10 +228,8 @@ def train(model: DpaNetMini, data: list[SynthSample], cfg: TrainConfig) -> Train
         raise ConfigurationError(f"config image size {cfg.image_size} does not match "
                                  f"data samples of size {data[0].image.shape[1]}")
 
-    lam = np.array(model.spa.lam, dtype=np.float64)
-    mu = np.array(model.cpa.mu, dtype=np.float64)
-    params = [arr for _, arr in model.parameters()] + [lam, mu]
-    velocity = [np.zeros_like(p) for p in params]
+    params = model.params
+    velocity = {k: np.zeros_like(p) for k, p in params.items()}
 
     loss_curve: list[float] = []
     lam_curve: list[float] = []
@@ -244,44 +237,37 @@ def train(model: DpaNetMini, data: list[SynthSample], cfg: TrainConfig) -> Train
     for step in range(cfg.steps):
         start = (step * cfg.batch) % len(data)
         indices = sorted((start + i) % len(data) for i in range(cfg.batch))
-        grads = [np.zeros_like(p) for p in params]
+        grads = {k: np.zeros_like(p) for k, p in params.items()}
         loss_total = 0.0
         for idx in indices:
             sample = data[idx]
             try:
-                logits = forward(model, sample.image)
+                logits, cache = stages(model, sample.image)
                 loss, d_logits = ops.cross_entropy_logits(logits, sample.labels)
-                net_grads = backward(model, sample.image, d_logits)
+                g = stages_backward(cache, d_logits)
             except NonFiniteError as exc:
                 raise TrainingDivergenceError(f"non-finite loss at step {step}") from exc
             loss_total += loss
-            flat = [net_grads.stem_w1, net_grads.stem_w2, net_grads.spa.w_q,
-                    net_grads.spa.w_k, net_grads.spa.w_v]
-            if model.cpa.proj is not None:
-                flat += [net_grads.cpa.w_q, net_grads.cpa.w_k, net_grads.cpa.w_v]
-            flat += [net_grads.fuse_w, np.array(net_grads.spa.lam),
-                     np.array(net_grads.cpa.mu)]
-            for acc, g in zip(grads, flat):
-                acc += g
+            for k, acc in grads.items():
+                acc += g[k]
         loss_mean = loss_total / len(indices)
         if not math.isfinite(loss_mean):
             raise TrainingDivergenceError(f"non-finite loss at step {step}")
-        for g in grads:
-            g /= len(indices)
+        for acc in grads.values():
+            acc /= len(indices)
         lr_t = (poly_lr(cfg.lr, step, cfg.steps, cfg.poly_power)
                 if cfg.poly_power is not None else cfg.lr)
-        ops.sgd_step(params, grads, lr_t, cfg.momentum, velocity)
-        model.spa.lam = float(lam)
-        model.cpa.mu = float(mu)
+        ops.sgd_step(list(params.values()), list(grads.values()), lr_t, cfg.momentum,
+                     list(velocity.values()))
         loss_curve.append(loss_mean)
-        lam_curve.append(model.spa.lam)
-        mu_curve.append(model.cpa.mu)
+        lam_curve.append(float(model.spa.lam))
+        mu_curve.append(float(model.cpa.mu))
 
     return TrainedReport(
         final_loss=loss_curve[-1],
         pixel_accuracy=pixel_accuracy(model, data),
-        lambda_final=model.spa.lam,
-        mu_final=model.cpa.mu,
+        lambda_final=lam_curve[-1],
+        mu_final=mu_curve[-1],
         loss_curve=loss_curve,
         lambda_curve=lam_curve,
         mu_curve=mu_curve,

@@ -29,24 +29,19 @@ _ALLOWED = (F32, F64)
 _serial_matmul = False
 
 
-def set_serial_matmul(enabled: bool) -> None:
-    """Force the index-ascending reference path for all subsequent matmuls."""
-    global _serial_matmul
-    _serial_matmul = bool(enabled)
-
-
 def serial_matmul_enabled() -> bool:
     return _serial_matmul
 
 
 @contextmanager
 def serial_matmul():
-    prev = _serial_matmul
-    set_serial_matmul(True)
+    """Force the index-ascending reference path for the matmuls inside the block."""
+    global _serial_matmul
+    prev, _serial_matmul = _serial_matmul, True
     try:
         yield
     finally:
-        set_serial_matmul(prev)
+        _serial_matmul = prev
 
 
 def _quiet(fn):
@@ -57,13 +52,6 @@ def _quiet(fn):
                          under="ignore"):
             return fn(*args, **kwargs)
     return wrapper
-
-
-def tensor(data, dtype: np.dtype = F64) -> np.ndarray:
-    """Build a validated dense tensor (rank 1-4, positive dims, finite values)."""
-    arr = np.ascontiguousarray(np.asarray(data, dtype=dtype))
-    _check_dims(arr, "tensor")
-    return _finite(arr, "tensor")
 
 
 def _check_dims(a: np.ndarray, op: str) -> None:
@@ -282,14 +270,6 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_dtype(a, b, "sub")
-    if a.shape != b.shape:
-        raise DimensionError(f"sub: shapes differ, {a.shape} vs {b.shape}")
-    return _finite(a - b, "sub")
-
-
-@_quiet
 def scale(a: np.ndarray, s: float) -> np.ndarray:
     return _finite(a * a.dtype.type(s), "scale")
 
@@ -297,22 +277,6 @@ def scale(a: np.ndarray, s: float) -> np.ndarray:
 @_quiet
 def relu(a: np.ndarray) -> np.ndarray:
     return _finite(np.maximum(a, a.dtype.type(0)), "relu")
-
-
-@_quiet
-def exp(a: np.ndarray) -> np.ndarray:
-    return _finite(np.exp(a), "exp")
-
-
-@_quiet
-def square(a: np.ndarray) -> np.ndarray:
-    return _finite(a * a, "square")
-
-
-def reshape(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if any(d < 1 for d in shape) or math.prod(shape) != a.size:
-        raise DimensionError(f"reshape: {a.shape} has {a.size} elements, target {shape}")
-    return a.reshape(shape)
 
 
 def transpose2d(a: np.ndarray) -> np.ndarray:
@@ -325,11 +289,6 @@ def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 3 or b.ndim != 3 or a.shape[1:] != b.shape[1:]:
         raise DimensionError(f"concat_channels: shapes {a.shape} and {b.shape} do not stack")
     return np.concatenate([a, b], axis=0)
-
-
-def rng_fill_uniform(rng: Rng, shape: tuple[int, ...], half_width: float,
-                     dtype: np.dtype = F64) -> np.ndarray:
-    return rng.fill_uniform(shape, half_width, dtype)
 
 
 def init_weight(rng: Rng, shape: tuple[int, ...], fan_in: int,

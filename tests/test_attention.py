@@ -236,15 +236,15 @@ def test_backward_f32_agrees_with_f64():
 
     ref = spa_backward(x64, m64, g64)
     got = spa_backward(x64.astype(np.float32), m32, g64.astype(np.float32))
-    for a, b in [(ref.x, got.x), (ref.w_q, got.w_q), (ref.w_k, got.w_k),
-                 (ref.w_v, got.w_v)]:
+    for key in ("x", "w_q", "w_k", "w_v"):
+        a, b = ref[key], got[key]
         rel = np.abs(a - b) / np.maximum(np.abs(a), 1e-3)
         assert rel.max() < 1e-3
 
     ref_c = cpa_backward(x64, CpaModule(None, CpaMode.SUBTRACT, 0.5), g64)
     got_c = cpa_backward(x64.astype(np.float32), CpaModule(None, CpaMode.SUBTRACT, 0.5),
                          g64.astype(np.float32))
-    rel = np.abs(ref_c.x - got_c.x) / np.maximum(np.abs(ref_c.x), 1e-3)
+    rel = np.abs(ref_c["x"] - got_c["x"]) / np.maximum(np.abs(ref_c["x"]), 1e-3)
     assert rel.max() < 1e-3
 
 
@@ -278,7 +278,7 @@ def test_gate_gradient_at_zero_is_aggregation_contraction():
     attn = np.exp(logits - logits.max(axis=0))
     attn /= attn.sum(axis=0)
     agg = v_pool @ attn
-    assert abs(grads.lam - float(np.sum(g.reshape(3, 16) * agg))) < 1e-12
+    assert abs(grads["lam"] - float(np.sum(g.reshape(3, 16) * agg))) < 1e-12
 
 
 def _pool2(flat):

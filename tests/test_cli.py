@@ -9,6 +9,7 @@ import pytest
 from referencing import Registry, Resource
 
 import poolattn
+from poolattn import cli, ops
 from poolattn.dpt import read_dpt, write_dpt
 from poolattn.rng import Rng
 
@@ -256,6 +257,38 @@ def test_attn_truncated_input_exits_2(tmp_path):
                   "--out-attn", str(tmp_path / "a.dpt"))
     assert out.returncode == 2
     assert "payload length mismatch" in out.stderr
+
+
+def _bad_inputs(tmp_path):
+    huge = tmp_path / "huge-dims.dpt"    # 65536^4 elements: a wrapping product would read 0
+    huge.write_bytes(b"DPTENSOR" + bytes([1, 0, 4]) + (65536).to_bytes(4, "little") * 4)
+    nan = tmp_path / "nan.dpt"
+    x = np.ones((2, 3, 3))
+    x[1, 2, 0] = np.nan
+    write_dpt(nan, x)
+    strings = tmp_path / "strings.json"
+    strings.write_text(json.dumps({"shape": [1, 1, 2], "data": ["a", "b"]}))
+    negative = tmp_path / "negative-dims.json"
+    negative.write_text(json.dumps({"shape": [-1, 1, -2], "data": [1.0, 2.0]}))
+    return {"huge-dims": huge, "nan": nan, "strings": strings, "negative-dims": negative}
+
+
+@pytest.mark.parametrize("case", ["huge-dims", "nan", "strings", "negative-dims"])
+def test_attn_bad_input_exits_2(tmp_path, case):
+    src = _bad_inputs(tmp_path)[case]
+    out = run_cli("attn", "--input", str(src), "--module", "spa", "--spec-k", "1",
+                  "--spec-v", "1", "--out-tensor", str(tmp_path / "o.dpt"),
+                  "--out-attn", str(tmp_path / "a.dpt"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and str(src) in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_serial_flag_does_not_outlive_the_command(capsys):
+    assert cli.main(["bench", "--hw", "6", "--c", "4", "--chat", "2", "--spec-k", "1,2",
+                     "--spec-v", "1,2", "--serial"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["serial"] is True
+    assert not ops.serial_matmul_enabled()
 
 
 def test_invalid_thread_cap_exits_2():

@@ -44,6 +44,21 @@ def test_finite_diff_rejects_bad_step():
         finite_diff_grad(lambda a: 0.0, np.ones(2), h=0.0)
 
 
+def test_finite_diff_probes_in_place_and_restores():
+    x = Rng(6).fill_uniform((2, 3), 1.0)
+    alias = x.T                              # f reads x only through this alias
+    orig = x.copy()
+    grad = finite_diff_grad(lambda _: float(np.sum(alias ** 2)), x)
+    assert np.max(np.abs(grad - 2.0 * orig)) < 1e-8
+    assert np.array_equal(x, orig)
+
+
+def test_finite_diff_rejects_float32():
+    from poolattn.errors import ConfigurationError
+    with pytest.raises(ConfigurationError, match="float64"):
+        finite_diff_grad(lambda a: 0.0, np.ones(2, dtype=np.float32))
+
+
 def test_check_module_spa_small_config_passes():
     reports = check_module("spa", {"c": 4, "h": 6, "w": 6, "mode": "only-even",
                                    "even": (1, 2)}, seed=0)

@@ -75,20 +75,20 @@ def test_forward_bitwise_reproducible():
 
 def test_backward_matches_finite_difference_on_gates():
     model = build_model(9, channels=8, odd_spec=PyramidSpec((1, 3)))
-    model.spa.lam, model.cpa.mu = 0.4, -0.3
+    params = model.params
+    params["lam"][...], params["mu"][...] = 0.4, -0.3
     image = synth_dataset(9, 1, 8)[0].image
     probe = np.ones((2, 8, 8))
     grads = backward(model, image, probe)
     h = 1e-6
-    for attr, analytic in [("lam", grads.spa.lam), ("mu", grads.cpa.mu)]:
-        holder = model.spa if attr == "lam" else model.cpa
-        orig = getattr(holder, attr)
-        setattr(holder, attr, orig + h)
+    for name in ("lam", "mu"):
+        orig = float(params[name])
+        params[name][...] = orig + h
         up = float(np.sum(probe * forward(model, image)))
-        setattr(holder, attr, orig - h)
+        params[name][...] = orig - h
         down = float(np.sum(probe * forward(model, image)))
-        setattr(holder, attr, orig)
-        assert abs((up - down) / (2 * h) - analytic) < 1e-6
+        params[name][...] = orig
+        assert abs((up - down) / (2 * h) - grads[name]) < 1e-6
 
 
 # --- training ----------------------------------------------------------------------
@@ -110,13 +110,13 @@ def test_train_with_poly_decay_converges():
 
 def test_train_zero_lr_keeps_params_and_accuracy():
     model = build_model(4)
-    before = [arr.copy() for _, arr in model.parameters()]
+    before = {name: arr.copy() for name, arr in model.params.items()}
     data = synth_dataset(4, 2, 16)
     acc_before = pixel_accuracy(model, data)
     report = train(model, data, TrainConfig(lr=0.0, momentum=0.9, steps=1, seed=4,
                                             image_size=16, batch=2))
-    for (name, arr), old in zip(model.parameters(), before):
-        assert np.array_equal(arr, old), name
+    for name, arr in model.params.items():
+        assert np.array_equal(arr, before[name]), name
     assert model.spa.lam == 0.0 and model.cpa.mu == 0.0
     assert report.pixel_accuracy == acc_before
 

@@ -304,16 +304,6 @@ def test_sgd_shape_mismatch():
 
 # --- elementwise plumbing ----------------------------------------------------
 
-def test_reshape_round_trip_bitwise():
-    x = Rng(18).fill_uniform((2, 3, 4), 1.0)
-    assert np.array_equal(ops.reshape(ops.reshape(x, (6, 4)), (2, 3, 4)), x)
-
-
-def test_reshape_rejects_bad_count():
-    with pytest.raises(DimensionError):
-        ops.reshape(np.ones((2, 3)), (4, 2))
-
-
 def test_transpose_round_trip_bitwise():
     a = Rng(19).fill_uniform((3, 5), 1.0)
     assert np.array_equal(ops.transpose2d(ops.transpose2d(a)), a)
@@ -323,11 +313,8 @@ def test_elementwise_basics():
     a = np.array([1.0, -2.0])
     b = np.array([0.5, 0.5])
     assert np.array_equal(ops.add(a, b), [1.5, -1.5])
-    assert np.array_equal(ops.sub(a, b), [0.5, -2.5])
     assert np.array_equal(ops.scale(a, 2.0), [2.0, -4.0])
     assert np.array_equal(ops.relu(a), [1.0, 0.0])
-    assert np.array_equal(ops.square(a), [1.0, 4.0])
-    assert np.allclose(ops.exp(np.array([0.0, 1.0])), [1.0, math.e], rtol=0, atol=1e-15)
 
 
 def test_add_shape_mismatch():
@@ -347,13 +334,5 @@ def test_concat_channels():
 
 def test_nonfinite_result_is_internal_error():
     with pytest.raises(NonFiniteError):
-        ops.exp(np.array([1000.0]))
+        ops.scale(np.array([1e308]), 10.0)
 
-
-def test_tensor_constructor_validates():
-    t = ops.tensor([[1, 2], [3, 4]])
-    assert t.dtype == np.float64 and t.shape == (2, 2)
-    with pytest.raises(DimensionError):
-        ops.tensor(np.zeros((2, 0)))
-    with pytest.raises(NonFiniteError):
-        ops.tensor([float("nan")])

@@ -1,0 +1,117 @@
+"""The module protocol: live `params`, gradients keyed like them, one forward per sample."""
+
+from collections import Counter
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from poolattn import network, ops
+from poolattn.attention import (CpaMode, CpaModule, SpaMode, cpa_backward, cpa_forward,
+                                init_projection, nonlocal_backward, nonlocal_forward,
+                                spa_backward, spa_forward, spa_module)
+from poolattn.network import TrainConfig, build_model, synth_dataset, train
+from poolattn.pooling import PyramidSpec
+from poolattn.rng import Rng
+
+
+def _mechanisms(rng, c, chat, spec, x):
+    """(name, params, forward(), backward(g)) for non-local, SPA in every mode, CPA +/- proj."""
+    proj = init_projection(rng, c, chat)
+    lam = np.array(0.7)
+    cases = [("nonlocal", {**proj.params, "lam": lam},
+              lambda: nonlocal_forward(x, proj, lam)[0],
+              lambda g: nonlocal_backward(x, proj, lam, g))]
+    for mode in SpaMode:
+        m = spa_module(init_projection(rng, c, chat), mode, odd_spec=spec, even_spec=spec,
+                       lam=0.7)
+        cases.append((f"spa-{mode.value}", m.params, lambda m=m: spa_forward(x, m)[0],
+                      lambda g, m=m: spa_backward(x, m, g)))
+    for cpa_proj in (None, init_projection(rng, c)):
+        m = CpaModule(cpa_proj, CpaMode.SQUARE, 0.7)
+        cases.append((f"cpa-proj={cpa_proj is not None}", m.params,
+                      lambda m=m: cpa_forward(x, m)[0], lambda g, m=m: cpa_backward(x, m, g)))
+    return cases
+
+
+@st.composite
+def _shapes(draw):
+    c = draw(st.integers(1, 4))
+    chat = draw(st.integers(1, c))
+    h = draw(st.integers(2, 7))
+    w = draw(st.integers(2, 7).filter(lambda v: v != h))
+    sizes = draw(st.lists(st.integers(1, min(h, w)), min_size=1, max_size=3, unique=True))
+    return c, chat, h, w, PyramidSpec(tuple(sorted(sizes)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_shapes(), st.integers(0, 2**32 - 1))
+def test_backward_keys_and_shapes_match_params(shape, seed):
+    c, chat, h, w, spec = shape
+    rng = Rng(seed)
+    x = rng.fill_uniform((c, h, w), 1.0)
+    g = rng.fill_uniform((c, h, w), 1.0)
+    for name, params, _, backward in _mechanisms(rng, c, chat, spec, x):
+        grads = backward(g)
+        assert set(grads) == set(params) | {"x"}, name
+        assert grads["x"].shape == x.shape, name
+        for key, p in params.items():
+            assert grads[key].shape == p.shape, (name, key)
+        assert params["lam" if "lam" in params else "mu"].shape == ()
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(1, 4), st.integers(5, 8), st.integers(0, 2**32 - 1))
+def test_network_backward_keys_and_shapes_match_params(channels, size, seed):
+    model = build_model(seed, channels=channels, odd_spec=PyramidSpec((1, 3)),
+                        cpa_proj=bool(seed % 2))
+    rng = Rng(seed)
+    image = rng.fill_uniform((3, size, size), 1.0)
+    grads = network.backward(model, image, rng.fill_uniform((model.classes, size, size), 1.0))
+    params = model.params
+    assert set(grads) == set(params) | {"image"}
+    assert grads["image"].shape == image.shape
+    for key, p in params.items():
+        assert grads[key].shape == p.shape, key
+
+
+def test_in_place_param_write_changes_next_forward():
+    rng = Rng(3)
+    x = rng.fill_uniform((3, 5, 4), 1.0)
+    for name, params, forward, _ in _mechanisms(rng, 3, 2, PyramidSpec((1, 2)), x):
+        for key, p in params.items():
+            before = forward()
+            p[...] += 0.25
+            assert not np.array_equal(forward(), before), (name, key)
+
+    image = synth_dataset(4, 1, 8)[0].image
+    for key in build_model(4, cpa_proj=True).params:
+        model = build_model(4, cpa_proj=True)
+        model.spa.lam[...] = model.cpa.mu[...] = 0.5   # open gates, so branch weights matter
+        before = network.forward(model, image)
+        model.params[key][...] += 0.25
+        assert not np.array_equal(network.forward(model, image), before), key
+
+
+def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
+    """Stem, SPA and CPA stages each run once per sample: backward reuses the forward cache.
+
+    Each stage is counted by an op that only its forward calls: the stem by
+    its two conv2d_same, SPA by one adaptive pool per pyramid level, CPA by
+    max_over_rows. The final pixel-accuracy sweep is a separate evaluation
+    and is stubbed out.
+    """
+    batch = 4
+    calls = Counter()
+    for name in ("conv2d_same", "adaptive_avg_pool2d", "max_over_rows"):
+        def counted(*args, _fn=getattr(ops, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ops, name, counted)
+    monkeypatch.setattr(network, "pixel_accuracy", lambda model, data: 0.0)
+    model = build_model(5)
+    train(model, synth_dataset(5, batch, 16),
+          TrainConfig(lr=0.05, momentum=0.9, steps=1, seed=5, image_size=16, batch=batch))
+    levels = len(model.spa.k_spec.sizes) + len(model.spa.v_spec.sizes)
+    assert calls["conv2d_same"] == 2 * batch
+    assert calls["adaptive_avg_pool2d"] == levels * batch
+    assert calls["max_over_rows"] == batch
