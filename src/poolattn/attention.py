@@ -159,18 +159,6 @@ def _project(w: np.ndarray, x_flat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_cols(a: np.ndarray) -> np.ndarray:
-    shifted = a - a.max(axis=0, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=0, keepdims=True)
-    return shifted
-
-
-def _softmax_cols_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    inner = (grad * s).sum(axis=0, keepdims=True)
-    return s * (grad - inner)
-
-
 def _gate_backward(g: np.ndarray, agg: np.ndarray,
                    gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of `gate * agg + x` wrt the gate (0-d float64) and wrt agg."""
@@ -200,7 +188,7 @@ def nonlocal_stages(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | fl
     gamma = _project(proj.w_v, xf)
     logits = ops.matmul(ops.transpose2d(alpha), beta)    # N x N, row j = position j's queries
     instrument.add("map", 2 * proj.reduced * logits.size)
-    attn = ops.softmax_rows(logits)
+    attn = ops.softmax(logits, axis=1)
     instrument.add("softmax", 5 * attn.size)
     agg = ops.transpose2d(ops.matmul(attn, ops.transpose2d(gamma)))  # C x N
     instrument.add("agg", 2 * c * attn.size)
@@ -214,7 +202,7 @@ def nonlocal_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarra
     d_lam, d_agg = _gate_backward(g, agg, lam)
     d_attn = ops.matmul(ops.transpose2d(d_agg), gamma)                   # N x N
     d_gamma = ops.matmul(d_agg, attn)                                    # C x N
-    d_logits = ops.softmax_rows_backward(attn, d_attn)
+    d_logits = ops.softmax_backward(attn, d_attn, axis=1)
     d_alpha = ops.matmul(beta, ops.transpose2d(d_logits))                # chat x N
     d_beta = ops.matmul(alpha, d_logits)                                 # chat x N
     return {**_projection_backward(proj, xf, shape, g, d_alpha, d_beta, d_gamma),
@@ -244,7 +232,7 @@ def spa_stages(x: np.ndarray, m: SpaModule):
     v_pool = pyramid_pool(v_map, m.v_spec)               # C x T
     logits = ops.matmul(ops.transpose2d(k_pool), q)      # T x N
     instrument.add("map", 2 * m.proj.reduced * logits.size)
-    attn = _softmax_cols(logits)                         # anchor weights sum to 1 per position
+    attn = ops.softmax(logits, axis=0)                   # anchor weights sum to 1 per position
     instrument.add("softmax", 5 * attn.size)
     agg = ops.matmul(v_pool, attn)                       # C x N
     instrument.add("agg", 2 * c * attn.size)
@@ -259,7 +247,7 @@ def spa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     d_lam, d_agg = _gate_backward(g, agg, m.lam)
     d_vpool = ops.matmul(d_agg, ops.transpose2d(attn))   # C x T
     d_attn = ops.matmul(ops.transpose2d(v_pool), d_agg)  # T x N
-    d_logits = _softmax_cols_backward(attn, d_attn)
+    d_logits = ops.softmax_backward(attn, d_attn, axis=0)
     d_kpool = ops.matmul(q, ops.transpose2d(d_logits))   # chat x T
     d_q = ops.matmul(k_pool, d_logits)                   # chat x N
     d_kmap = pyramid_pool_backward(d_kpool, m.k_spec, h, w).reshape(m.proj.reduced, h * w)
@@ -292,7 +280,7 @@ def cpa_stages(x: np.ndarray, m: CpaModule):
     diff = ops.max_over_rows(d) - d                      # column max broadcast over rows, >= 0
     instrument.add("maxdiff", 2 * d.size)
     gated = diff * diff if m.mode is CpaMode.SQUARE else diff
-    attn = ops.softmax_rows(gated)
+    attn = ops.softmax(gated, axis=1)
     instrument.add("softmax", 5 * attn.size)
     agg = ops.matmul(attn, v)                            # C x N
     instrument.add("agg", 2 * v.shape[1] * attn.size)
@@ -306,7 +294,7 @@ def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     d_mu, d_agg = _gate_backward(g, agg, m.mu)
     d_attn = ops.matmul(d_agg, ops.transpose2d(v))       # C x C
     d_v = ops.matmul(ops.transpose2d(attn), d_agg)       # C x N
-    d_gated = ops.softmax_rows_backward(attn, d_attn)
+    d_gated = ops.softmax_backward(attn, d_attn, axis=1)
     d_diff = 2.0 * diff * d_gated if m.mode is CpaMode.SQUARE else d_gated
     d_d = -d_diff
     # The broadcast column max routes its gradient to the (first) argmax row per column.

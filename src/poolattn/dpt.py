@@ -45,7 +45,10 @@ def write_dpt(path: str | Path, arr: np.ndarray) -> None:
 
 
 def read_dpt(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    return _parse_dpt(path, Path(path).read_bytes())
+
+
+def _parse_dpt(path: str | Path, raw: bytes) -> np.ndarray:
     if len(raw) < 11:
         raise DptFormatError(f"{path}: file too short for a DPT header")
     if raw[:8] != MAGIC:
@@ -74,9 +77,9 @@ def read_dpt(path: str | Path) -> np.ndarray:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a finite tensor from either a DPT file or the JSON form."""
+    """Read a finite tensor from either a DPT file or the JSON form, with one file read."""
     raw = Path(path).read_bytes()
-    arr = read_dpt(path) if raw[:8] == MAGIC else _read_json_tensor(path, raw)
+    arr = _parse_dpt(path, raw) if raw[:8] == MAGIC else _read_json_tensor(path, raw)
     if not np.isfinite(arr).all():
         raise DptFormatError(f"{path}: tensor holds NaN or Inf values")
     return arr

@@ -217,8 +217,6 @@ def coverage_report(specs: list[PyramidSpec], extent: int) -> dict:
     entries = []
     union: set[int] = set()
     for spec in specs:
-        if spec.max_size > extent:
-            raise ConfigurationError(f"pool size {spec.max_size} exceeds extent {extent}")
         interior = interior_offsets(spec, extent)
         union |= interior
         entries.append({

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, LabelError, NonFiniteError, PoolSizeError
+from .errors import ConfigurationError, DimensionError, LabelError, NonFiniteError
 from .rng import Rng
 
 F32 = np.dtype(np.float32)
@@ -97,21 +97,25 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    _rank2(a, "softmax_rows")
-    _finite(a, "softmax_rows input")
-    shifted = a - a.max(axis=1, keepdims=True)
+def softmax(a: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along `axis` of a rank-2 array, shifted by the max for stability.
+
+    Only the input is checked: with finite input the max entry adds exp(0) = 1
+    to each sum, so every output lies in [0, 1].
+    """
+    _rank2(a, "softmax")
+    _finite(a, "softmax input")
+    shifted = a - a.max(axis=axis, keepdims=True)
     np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
-    return _finite(shifted, "softmax_rows")
+    shifted /= shifted.sum(axis=axis, keepdims=True)
+    return shifted
 
 
 @_quiet
-def softmax_rows_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Gradient through softmax_rows given its output s and upstream grad."""
-    inner = (grad * s).sum(axis=1, keepdims=True)
-    return _finite(s * (grad - inner), "softmax_rows_backward")
+def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient through softmax along `axis` given its output s and upstream grad."""
+    inner = (grad * s).sum(axis=axis, keepdims=True)
+    return _finite(s * (grad - inner), "softmax_backward")
 
 
 @_quiet
@@ -176,35 +180,6 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray,
     grad_x = grad_xp[:, pad : pad + h, pad : pad + wd]
     return _finite(np.ascontiguousarray(grad_x), "conv2d_same_backward x"), \
         _finite(grad_w, "conv2d_same_backward w")
-
-
-def pool_bounds(extent: int, n: int) -> list[tuple[int, int]]:
-    """Adaptive bin boundaries over `extent` cells: bin i spans [floor(i*E/n), floor((i+1)*E/n)).
-
-    The floor rule tiles the extent exactly (no gaps, no overlap), which the
-    partition and adjoint contracts rely on.
-    """
-    if n > extent:
-        raise PoolSizeError(f"pool size {n} exceeds extent {extent}")
-    return [(i * extent // n, (i + 1) * extent // n) for i in range(n)]
-
-
-@_quiet
-def adaptive_avg_pool2d(x: np.ndarray, n: int) -> np.ndarray:
-    """Mean-pool x (C x H x W) onto an n x n grid whose bins tile the input exactly."""
-    _check_dims(x, "adaptive_avg_pool2d")
-    if x.ndim != 3:
-        raise DimensionError(f"adaptive_avg_pool2d: input must be CxHxW, got shape {x.shape}")
-    c, h, w = x.shape
-    if n < 1 or n > h or n > w:
-        raise PoolSizeError(f"pool size {n} does not fit spatial dims {h}x{w}")
-    rows = pool_bounds(h, n)
-    cols = pool_bounds(w, n)
-    out = np.empty((c, n, n), dtype=x.dtype)
-    for i, (rs, re) in enumerate(rows):
-        for j, (cs, ce) in enumerate(cols):
-            out[:, i, j] = x[:, rs:re, cs:ce].mean(axis=(1, 2))
-    return _finite(out, "adaptive_avg_pool2d")
 
 
 @_quiet

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import instrument, ops
-from .errors import ConfigurationError, DimensionError
+from . import instrument
+from .errors import ConfigurationError, DimensionError, PoolSizeError
+from .ops import _check_dims, _finite, _quiet
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,6 @@ class PyramidSpec:
             raise ConfigurationError(f"pyramid sizes must be >= 1, got {sizes}")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ConfigurationError(f"pyramid sizes must be strictly increasing, got {sizes}")
-
-    @property
-    def anchor_count(self) -> int:
-        return anchor_count(self)
 
     @property
     def max_size(self) -> int:
@@ -81,20 +78,43 @@ def anchor_count(spec: PyramidSpec) -> int:
     return sum(n * n for n in spec.sizes)
 
 
+def bin_edges(extent: int, n: int) -> list[int]:
+    """The n + 1 edges of one pool level: bin i spans [floor(i*E/n), floor((i+1)*E/n)).
+
+    The floor rule tiles the extent exactly (no gaps, no overlap), which the
+    partition and adjoint contracts rely on.
+    """
+    if n > extent:
+        raise PoolSizeError(f"pool size {n} exceeds extent {extent}")
+    return [i * extent // n for i in range(n + 1)]
+
+
+@_quiet
 def pyramid_pool(x: np.ndarray, spec: PyramidSpec) -> np.ndarray:
     """Pool x (C x H x W) to C x T: levels in spec order, each flattened row-major."""
+    _check_dims(x, "pyramid_pool")
+    if x.ndim != 3:
+        raise DimensionError(f"pyramid_pool: input must be CxHxW, got shape {x.shape}")
     c, h, w = x.shape
-    blocks = []
+    out = np.empty((c, anchor_count(spec)), dtype=x.dtype)
+    col = 0
     for n in spec.sizes:
-        pooled = ops.adaptive_avg_pool2d(x, n)
-        blocks.append(pooled.reshape(c, n * n))
-        instrument.add("pool", c * h * w)
-    return np.concatenate(blocks, axis=1)
+        rows, cols = bin_edges(h, n), bin_edges(w, n)
+        for rs, re in zip(rows, rows[1:]):
+            for cs, ce in zip(cols, cols[1:]):
+                out[:, col] = x[:, rs:re, cs:ce].mean(axis=(1, 2))
+                col += 1
+    instrument.add("pool", c * h * w * len(spec.sizes))
+    return _finite(out, "pyramid_pool")
 
 
 def pyramid_pool_backward(grad: np.ndarray, spec: PyramidSpec, height: int,
                           width: int) -> np.ndarray:
-    """Adjoint of pyramid_pool: spread each anchor's gradient uniformly over its bin."""
+    """Adjoint of pyramid_pool: spread each anchor's gradient uniformly over its bin.
+
+    Bins tile each level, so every pixel receives one term per level, added
+    in spec order; the sum is the same, bit for bit, as a loop over bins.
+    """
     c, t = grad.shape
     if t != anchor_count(spec):
         raise DimensionError(f"pyramid_pool_backward: grad has {t} anchors, "
@@ -104,26 +124,17 @@ def pyramid_pool_backward(grad: np.ndarray, spec: PyramidSpec, height: int,
     for n in spec.sizes:
         block = grad[:, col : col + n * n].reshape(c, n, n)
         col += n * n
-        rows = ops.pool_bounds(height, n)
-        cols = ops.pool_bounds(width, n)
-        for i, (rs, re) in enumerate(rows):
-            for j, (cs, ce) in enumerate(cols):
-                area = (re - rs) * (ce - cs)
-                out[:, rs:re, cs:ce] += block[:, i : i + 1, j : j + 1] / area
+        rows, cols = np.diff(bin_edges(height, n)), np.diff(bin_edges(width, n))
+        area = np.outer(rows, cols).astype(grad.dtype)
+        out += (block / area).repeat(rows, axis=1).repeat(cols, axis=2)
     return out
-
-
-def level_boundaries(n: int, extent: int) -> list[int]:
-    """All bin edges of one pool level along an axis of the given extent."""
-    bounds = ops.pool_bounds(extent, n)
-    return [bounds[0][0]] + [e for _, e in bounds]
 
 
 def boundary_histogram(spec: PyramidSpec, extent: int) -> list[tuple[int, int]]:
     """(offset, count) pairs: how many pyramid levels place a bin edge at each offset."""
     counts = [0] * (extent + 1)
     for n in spec.sizes:
-        for edge in set(level_boundaries(n, extent)):
+        for edge in set(bin_edges(extent, n)):
             counts[edge] += 1
     return [(offset, count) for offset, count in enumerate(counts) if count > 0]
 
@@ -132,5 +143,5 @@ def interior_offsets(spec: PyramidSpec, extent: int) -> set[int]:
     """Distinct bin edges strictly inside (0, extent) across all levels."""
     edges: set[int] = set()
     for n in spec.sizes:
-        edges.update(level_boundaries(n, extent))
+        edges.update(bin_edges(extent, n))
     return {e for e in edges if 0 < e < extent}

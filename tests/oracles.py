@@ -67,6 +67,26 @@ def loop_pyramid_pool(x, sizes):
     return np.stack(cols, axis=1) if cols else np.zeros((c, 0))
 
 
+def loop_pyramid_pool_backward(grad, sizes, height, width):
+    """Adjoint of pyramid pooling, one bin at a time: each anchor's gradient over its area.
+
+    Dims must be Python ints: a numpy integer area would divide a float32
+    gradient in float64.
+    """
+    c = grad.shape[0]
+    out = np.zeros((c, height, width), dtype=grad.dtype)
+    col = 0
+    for n in sizes:
+        re = loop_bin_edges(height, n)
+        ce = loop_bin_edges(width, n)
+        for i in range(n):
+            for j in range(n):
+                area = (re[i + 1] - re[i]) * (ce[j + 1] - ce[j])
+                out[:, re[i]:re[i + 1], ce[j]:ce[j + 1]] += grad[:, col:col + 1, None] / area
+                col += 1
+    return out
+
+
 def loop_nonlocal(x, w_q, w_k, w_v, lam):
     """Projections, N x N row-softmax map, aggregation, gated residual."""
     c, h, w = x.shape

@@ -189,6 +189,53 @@ def test_cpa_most_similar_channel_gets_least_weight():
             assert np.argmin(attn[row]) == col
 
 
+def _cpa_loss_with_max_rows(x, rows, mode, mu, g):
+    """Projection-free CPA loss <g, out> with each column's max read from a fixed row."""
+    c = x.shape[0]
+    xf = x.reshape(c, -1)
+    d = xf @ xf.T
+    diff = d[rows, np.arange(c)] - d
+    gated = diff * diff if mode is CpaMode.SQUARE else diff
+    e = np.exp(gated - gated.max(axis=1, keepdims=True))
+    attn = e / e.sum(axis=1, keepdims=True)
+    return float(np.sum(g.reshape(c, -1) * (mu * attn @ xf + xf)))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-6), (np.float32, 1e-3)])
+def test_cpa_tied_column_max_routes_to_first_row(dtype, tol):
+    # Channels 1 and 2 are identical and the longest, so columns 1 and 2 of
+    # the affinity have their max tied between rows 1 and 2. Dyadic entries
+    # keep every affinity exact, so the tie holds in float32 too; the 0.5
+    # scale keeps the squared-mode softmax out of saturation.
+    row = [1.0, 0.5, -0.75, 1.25, -0.5, 0.75]
+    x64 = 0.5 * np.array([[0.5, -0.25, 0.75, 0.0, 0.25, -0.5], row, row,
+                          [-0.25, 0.5, 0.25, -0.5, 0.75, 0.0]]).reshape(4, 2, 3)
+    g64 = Rng(35).fill_uniform((4, 2, 3), 1.0)
+    x, g = x64.astype(dtype), g64.astype(dtype)
+    xf = x.reshape(4, -1)
+    d = ops.matmul(xf, ops.transpose2d(xf))
+    assert np.array_equal(d[1], d[2])
+    first = np.argmax(d, axis=0)
+    last = 3 - np.argmax(d[::-1], axis=0)
+    assert first[1] == first[2] == 1 and last[1] == last[2] == 2
+    h = 1e-6
+    for mode in CpaMode:
+        got = cpa_backward(x, CpaModule(None, mode, 0.7), g)["x"].reshape(-1)
+        for rows, routed_here in ((first, True), (last, False)):
+            probe = x64.copy().reshape(-1)
+            ref = np.empty_like(probe)
+            for i in range(probe.size):
+                orig = probe[i]
+                probe[i] = orig + h
+                up = _cpa_loss_with_max_rows(probe.reshape(x64.shape), rows, mode, 0.7, g64)
+                probe[i] = orig - h
+                down = _cpa_loss_with_max_rows(probe.reshape(x64.shape), rows, mode, 0.7, g64)
+                probe[i] = orig
+                ref[i] = (up - down) / (2 * h)
+            err = np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref)))
+            assert (err < tol) == routed_here, (mode, err)
+
+
 def test_cpa_projection_must_preserve_channels():
     rng = Rng(34)
     with pytest.raises(ConfigurationError):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -86,3 +87,23 @@ def test_garbage_file_rejected(tmp_path):
     path.write_bytes(b"\x00\x01\x02 not a tensor at all")
     with pytest.raises(DptFormatError):
         read_tensor(path)
+
+
+def test_read_tensor_reads_the_file_once(tmp_path, monkeypatch):
+    arr = Rng(7).fill_uniform((2, 3), 1.0)
+    dpt_path = tmp_path / "t.dpt"
+    write_dpt(dpt_path, arr)
+    json_path = tmp_path / "t.json"
+    json_path.write_text(json.dumps({"shape": [2, 3], "data": arr.reshape(-1).tolist()}))
+    reads = []
+    original = pathlib.Path.read_bytes
+
+    def counted(self):
+        reads.append(self)
+        return original(self)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counted)
+    for path in (dpt_path, json_path):
+        reads.clear()
+        assert np.array_equal(read_tensor(path), arr)
+        assert reads == [path]

@@ -6,6 +6,7 @@ import pytest
 from poolattn import ops
 from poolattn.errors import (ConfigurationError, DimensionError, LabelError,
                              NonFiniteError, PoolSizeError)
+from poolattn.pooling import PyramidSpec, bin_edges, pyramid_pool
 from poolattn.rng import Rng
 
 from oracles import loop_adaptive_pool, loop_matmul, loop_softmax_rows
@@ -58,17 +59,17 @@ def test_matmul_deterministic_repeat():
 # --- softmax --------------------------------------------------------------
 
 def test_softmax_equal_values_uniform():
-    out = ops.softmax_rows(np.full((2, 5), 3.7))
+    out = ops.softmax(np.full((2, 5), 3.7), axis=1)
     assert np.allclose(out, 0.2, rtol=0, atol=1e-15)
 
 
 def test_softmax_closed_form():
-    out = ops.softmax_rows(np.array([[0.0, math.log(3.0)]]))
+    out = ops.softmax(np.array([[0.0, math.log(3.0)]]), axis=1)
     assert np.allclose(out, [[0.25, 0.75]], rtol=0, atol=1e-15)
 
 
 def test_softmax_single_column_is_ones():
-    out = ops.softmax_rows(Rng(4).fill_uniform((6, 1), 50.0))
+    out = ops.softmax(Rng(4).fill_uniform((6, 1), 50.0), axis=1)
     assert np.array_equal(out, np.ones((6, 1)))
 
 
@@ -77,28 +78,38 @@ def test_softmax_rows_sum_to_one(dtype, tol):
     rng = Rng(5)
     for _ in range(20):
         a = rng.fill_uniform((8, 11), 50.0, dtype)
-        sums = ops.softmax_rows(a).sum(axis=1)
+        sums = ops.softmax(a, axis=1).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < tol
 
 
 def test_softmax_shift_invariance():
     # Shifting any output position's logits by one constant leaves the
-    # normalized weights unchanged, in both map orientations.
+    # normalized weights unchanged, along either axis.
     rng = Rng(6)
     a = rng.fill_uniform((4, 9), 10.0)
     shifts = rng.fill_uniform((4, 1), 5.0)
-    assert np.allclose(ops.softmax_rows(a), ops.softmax_rows(a + shifts),
+    assert np.allclose(ops.softmax(a, axis=1), ops.softmax(a + shifts, axis=1),
                        rtol=0, atol=1e-14)
     cols = ops.transpose2d(a)
     per_position = ops.transpose2d(shifts)
-    lhs = ops.transpose2d(ops.softmax_rows(ops.transpose2d(cols)))
-    rhs = ops.transpose2d(ops.softmax_rows(ops.transpose2d(cols + per_position)))
-    assert np.allclose(lhs, rhs, rtol=0, atol=1e-14)
+    assert np.allclose(ops.softmax(cols, axis=0), ops.softmax(cols + per_position, axis=0),
+                       rtol=0, atol=1e-14)
+    assert np.allclose(ops.softmax(cols, axis=0), ops.transpose2d(ops.softmax(a, axis=1)),
+                       rtol=0, atol=1e-15)
 
 
 def test_softmax_matches_oracle():
     a = Rng(7).fill_uniform((5, 6), 20.0)
-    assert np.allclose(ops.softmax_rows(a), loop_softmax_rows(a), rtol=0, atol=1e-14)
+    assert np.allclose(ops.softmax(a, axis=1), loop_softmax_rows(a), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_softmax_rejects_nonfinite_input(bad):
+    a = Rng(8).fill_uniform((3, 4), 1.0)
+    a[1, 2] = bad
+    for axis in (0, 1):
+        with pytest.raises(NonFiniteError, match="softmax input"):
+            ops.softmax(a, axis=axis)
 
 
 # --- convolutions ----------------------------------------------------------
@@ -171,21 +182,26 @@ def test_conv2d_same_backward_matches_finite_difference():
 
 
 # --- pooling primitive ------------------------------------------------------
+# Adaptive average pooling to n x n is a one-level pyramid.
+
+def _adaptive_pool(x, n):
+    return pyramid_pool(x, PyramidSpec((n,))).reshape(x.shape[0], n, n)
+
 
 def test_adaptive_pool_full_size_is_identity():
     x = Rng(13).fill_uniform((2, 4, 4), 1.0)
-    assert np.array_equal(ops.adaptive_avg_pool2d(x, 4), x)
+    assert np.array_equal(_adaptive_pool(x, 4), x)
 
 
 def test_adaptive_pool_global_mean():
     x = Rng(14).fill_uniform((3, 5, 5), 1.0)
-    out = ops.adaptive_avg_pool2d(x, 1)
+    out = _adaptive_pool(x, 1)
     assert np.allclose(out.reshape(3), x.mean(axis=(1, 2)), rtol=0, atol=1e-15)
 
 
 def test_adaptive_pool_hand_case():
     x = np.arange(1, 17, dtype=np.float64).reshape(1, 4, 4)
-    out = ops.adaptive_avg_pool2d(x, 2)
+    out = _adaptive_pool(x, 2)
     assert np.array_equal(out[0], [[3.5, 5.5], [11.5, 13.5]])
 
 
@@ -193,25 +209,25 @@ def test_adaptive_pool_partition_preserves_sum():
     rng = Rng(15)
     for h, w, n in [(8, 8, 3), (7, 9, 4), (11, 6, 5), (5, 5, 2), (9, 9, 7)]:
         x = rng.fill_uniform((2, h, w), 3.0)
-        out = ops.adaptive_avg_pool2d(x, n)
-        rows = ops.pool_bounds(h, n)
-        cols = ops.pool_bounds(w, n)
+        out = _adaptive_pool(x, n)
+        rows = bin_edges(h, n)
+        cols = bin_edges(w, n)
         weighted = sum(out[:, i, j] * (re - rs) * (ce - cs)
-                       for i, (rs, re) in enumerate(rows)
-                       for j, (cs, ce) in enumerate(cols))
+                       for i, (rs, re) in enumerate(zip(rows, rows[1:]))
+                       for j, (cs, ce) in enumerate(zip(cols, cols[1:])))
         total = x.sum(axis=(1, 2))
         assert np.max(np.abs(weighted - total)) < 1e-9 * np.max(np.abs(total))
 
 
 def test_adaptive_pool_matches_oracle_nondivisible():
     x = Rng(16).fill_uniform((2, 8, 7), 1.0)
-    assert np.allclose(ops.adaptive_avg_pool2d(x, 3), loop_adaptive_pool(x, 3),
+    assert np.allclose(_adaptive_pool(x, 3), loop_adaptive_pool(x, 3),
                        rtol=0, atol=1e-13)
 
 
 def test_adaptive_pool_oversize_rejected():
     with pytest.raises(PoolSizeError, match="5"):
-        ops.adaptive_avg_pool2d(np.ones((1, 4, 4)), 5)
+        _adaptive_pool(np.ones((1, 4, 4)), 5)
 
 
 # --- reductions and loss ----------------------------------------------------

@@ -2,16 +2,28 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poolattn.attention import param_count
-from poolattn.errors import ConfigurationError, DimensionError, PoolSizeError
+from poolattn.errors import ConfigurationError, DimensionError, NonFiniteError, PoolSizeError
 from poolattn.pooling import (PAPER_EVEN, PAPER_ODD, TOY_EVEN_MATCHED, TOY_ODD,
-                              TOY_ODD_MATCHED, PyramidSpec, anchor_count,
+                              TOY_ODD_MATCHED, PyramidSpec, anchor_count, bin_edges,
                               boundary_histogram, interior_offsets, parse_spec,
                               pyramid_pool, pyramid_pool_backward)
 from poolattn.rng import Rng
 
-from oracles import loop_bin_edges, loop_pyramid_pool
+from oracles import loop_bin_edges, loop_pyramid_pool, loop_pyramid_pool_backward
+
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
+@st.composite
+def _pool_case(draw):
+    """(H, W, spec) with H != W and a random strictly increasing spec that fits both."""
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12).filter(lambda v: v != h))
+    sizes = draw(st.lists(st.integers(1, min(h, w)), min_size=1, max_size=4, unique=True))
+    return h, w, PyramidSpec(tuple(sorted(sizes)))
 
 
 def test_paper_anchor_counts():
@@ -69,6 +81,23 @@ def test_pyramid_pool_matches_oracle():
                            loop_pyramid_pool(x, sizes), rtol=0, atol=1e-13)
 
 
+def test_bin_edges_follow_floor_rule():
+    for extent in range(1, 14):
+        for n in range(1, extent + 1):
+            assert bin_edges(extent, n) == loop_bin_edges(extent, n)
+    with pytest.raises(PoolSizeError, match="5"):
+        bin_edges(4, 5)
+
+
+def test_pyramid_pool_checks_input_and_output():
+    with pytest.raises(DimensionError):
+        pyramid_pool(np.ones((4, 4)), PyramidSpec((1,)))
+    with pytest.raises(DimensionError):
+        pyramid_pool(np.ones((1, 4, 4), dtype=np.float16), PyramidSpec((1,)))
+    with pytest.raises(NonFiniteError):
+        pyramid_pool(np.full((1, 2, 2), 3e38, dtype=np.float32), PyramidSpec((1, 2)))
+
+
 def test_pyramid_pool_size_error_names_size():
     with pytest.raises(PoolSizeError, match="5"):
         pyramid_pool(np.ones((1, 4, 4)), PyramidSpec((1, 5)))
@@ -117,6 +146,71 @@ def test_backward_adjoint_identity():
             lhs = float(np.sum(pyramid_pool(x, spec) * u))
             rhs = float(np.sum(x * pyramid_pool_backward(u, spec, h, w)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+@DTYPES
+def test_backward_matches_loop_oracle_bitwise(dtype):
+    # The adjoint divides by each bin's area and adds the levels in spec
+    # order, exactly as the per-bin loop does; one ulp off would move training.
+    rng = Rng(8)
+    cases = [(PAPER_ODD.sizes, 96, 96), (PAPER_EVEN.sizes, 96, 96), ((1, 3, 5), 11, 7),
+             ((2, 4), 9, 13), ((1, 2, 3), 6, 6), ((1, 5, 7, 9, 13), 20, 24)]
+    for sizes, h, w in cases:
+        spec = PyramidSpec(sizes)
+        grad = rng.fill_uniform((3, anchor_count(spec)), 2.0, dtype)
+        got = pyramid_pool_backward(grad, spec, h, w)
+        assert got.dtype == grad.dtype
+        assert np.array_equal(got, loop_pyramid_pool_backward(grad, sizes, h, w)), (sizes, h, w)
+
+
+@DTYPES
+@settings(max_examples=40, deadline=None)
+@given(_pool_case(), st.integers(0, 2**32 - 1))
+def test_pool_partition_preserves_mass(dtype, case, seed):
+    # Each level's bins tile the map, so bin means weighted by bin areas sum to the total.
+    h, w, spec = case
+    x = Rng(seed).fill_uniform((2, h, w), 3.0, dtype)
+    out = pyramid_pool(x, spec).astype(np.float64)
+    total = x.astype(np.float64).sum(axis=(1, 2))
+    tol = 16 * np.finfo(dtype).eps * 3.0 * h * w
+    col = 0
+    for n in spec.sizes:
+        rows, cols = np.diff(loop_bin_edges(h, n)), np.diff(loop_bin_edges(w, n))
+        weighted = out[:, col : col + n * n] @ np.outer(rows, cols).reshape(-1)
+        col += n * n
+        assert np.max(np.abs(weighted - total)) <= tol, n
+
+
+@DTYPES
+@settings(max_examples=40, deadline=None)
+@given(_pool_case(), st.integers(0, 2**32 - 1))
+def test_backward_adjoint_identity_property(dtype, case, seed):
+    h, w, spec = case
+    rng = Rng(seed)
+    x = rng.fill_uniform((2, h, w), 2.0, dtype)
+    u = rng.fill_uniform((2, anchor_count(spec)), 2.0, dtype)
+    lhs = float(np.sum(pyramid_pool(x, spec).astype(np.float64) * u))
+    rhs = float(np.sum(x.astype(np.float64) * pyramid_pool_backward(u, spec, h, w)))
+    scale = float(np.sum(np.abs(x))) * float(np.max(np.abs(u))) * len(spec.sizes)
+    assert abs(lhs - rhs) <= 16 * np.finfo(dtype).eps * scale
+
+
+@DTYPES
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n), max_size=3, unique=True))),
+    st.integers(0, 2**32 - 1))
+def test_full_resolution_level_is_identity(dtype, case, seed):
+    # A level with one bin per pixel copies the map forward and the gradient back.
+    n, lower = case
+    spec = PyramidSpec(tuple(sorted(set(lower) | {n})))
+    rng = Rng(seed)
+    x = rng.fill_uniform((2, n, n), 1.0, dtype)
+    assert np.array_equal(pyramid_pool(x, spec)[:, -n * n:], x.reshape(2, n * n))
+    grad = np.zeros((2, anchor_count(spec)), dtype=dtype)
+    grad[:, -n * n:] = rng.fill_uniform((2, n * n), 1.0, dtype)
+    assert np.array_equal(pyramid_pool_backward(grad, spec, n, n),
+                          grad[:, -n * n:].reshape(2, n, n))
 
 
 def test_backward_anchor_mismatch():

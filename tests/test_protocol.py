@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from poolattn import network, ops
+from poolattn import attention, network, ops
 from poolattn.attention import (CpaMode, CpaModule, SpaMode, cpa_backward, cpa_forward,
                                 init_projection, nonlocal_backward, nonlocal_forward,
                                 spa_backward, spa_forward, spa_module)
@@ -95,23 +95,23 @@ def test_in_place_param_write_changes_next_forward():
 def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
     """Stem, SPA and CPA stages each run once per sample: backward reuses the forward cache.
 
-    Each stage is counted by an op that only its forward calls: the stem by
-    its two conv2d_same, SPA by one adaptive pool per pyramid level, CPA by
-    max_over_rows. The final pixel-accuracy sweep is a separate evaluation
-    and is stubbed out.
+    Each stage is counted by a call that only its forward makes: the stem by
+    its two conv2d_same, SPA by its two pyramid pools (keys and values), CPA
+    by max_over_rows. The final pixel-accuracy sweep is a separate
+    evaluation and is stubbed out.
     """
     batch = 4
     calls = Counter()
-    for name in ("conv2d_same", "adaptive_avg_pool2d", "max_over_rows"):
-        def counted(*args, _fn=getattr(ops, name), _name=name):
+    for owner, name in ((ops, "conv2d_same"), (attention, "pyramid_pool"),
+                        (ops, "max_over_rows")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(ops, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     monkeypatch.setattr(network, "pixel_accuracy", lambda model, data: 0.0)
     model = build_model(5)
     train(model, synth_dataset(5, batch, 16),
           TrainConfig(lr=0.05, momentum=0.9, steps=1, seed=5, image_size=16, batch=batch))
-    levels = len(model.spa.k_spec.sizes) + len(model.spa.v_spec.sizes)
     assert calls["conv2d_same"] == 2 * batch
-    assert calls["adaptive_avg_pool2d"] == levels * batch
+    assert calls["pyramid_pool"] == 2 * batch
     assert calls["max_over_rows"] == batch
