@@ -9,6 +9,7 @@ T = 325 so their anchor tensors are interchangeable in mixed mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,21 +90,41 @@ def bin_edges(extent: int, n: int) -> list[int]:
     return [i * extent // n for i in range(n + 1)]
 
 
+@lru_cache(maxsize=64)
+def _pool_plan(sizes: tuple[int, ...], h: int, w: int) -> tuple:
+    """(area, anchor columns, k x area flat pixel indices) for each bin area in the pyramid.
+
+    Each bin's pixels run row-major, the order in which a strided slice reads them.
+    """
+    bins: list[np.ndarray] = []
+    for n in sizes:
+        rows, cols = bin_edges(h, n), bin_edges(w, n)
+        bins += [(np.arange(rs, re)[:, None] * w + np.arange(cs, ce)).ravel()
+                 for rs, re in zip(rows, rows[1:]) for cs, ce in zip(cols, cols[1:])]
+    areas = np.array([b.size for b in bins])
+    plan = []
+    for area in np.unique(areas):
+        anchors = np.flatnonzero(areas == area)
+        pixels = np.stack([bins[i] for i in anchors])
+        anchors.flags.writeable = pixels.flags.writeable = False  # shared by every caller
+        plan.append((int(area), anchors, pixels))
+    return tuple(plan)
+
+
 @_quiet
 def pyramid_pool(x: np.ndarray, spec: PyramidSpec) -> np.ndarray:
-    """Pool x (C x H x W) to C x T: levels in spec order, each flattened row-major."""
+    """Pool x (C x H x W) to C x T: levels in spec order, each flattened row-major.
+
+    Each anchor is the pairwise sum of its bin's pixels, read row-major, over its area.
+    """
     _check_dims(x, "pyramid_pool")
     if x.ndim != 3:
         raise DimensionError(f"pyramid_pool: input must be CxHxW, got shape {x.shape}")
     c, h, w = x.shape
+    xf = x.reshape(c, h * w)
     out = np.empty((c, anchor_count(spec)), dtype=x.dtype)
-    col = 0
-    for n in spec.sizes:
-        rows, cols = bin_edges(h, n), bin_edges(w, n)
-        for rs, re in zip(rows, rows[1:]):
-            for cs, ce in zip(cols, cols[1:]):
-                out[:, col] = x[:, rs:re, cs:ce].mean(axis=(1, 2))
-                col += 1
+    for area, anchors, pixels in _pool_plan(spec.sizes, h, w):
+        out[:, anchors] = np.take(xf, pixels, axis=1).sum(axis=2) / area
     instrument.add("pool", c * h * w * len(spec.sizes))
     return _finite(out, "pyramid_pool")
 
@@ -115,6 +136,10 @@ def pyramid_pool_backward(grad: np.ndarray, spec: PyramidSpec, height: int,
     Bins tile each level, so every pixel receives one term per level, added
     in spec order; the sum is the same, bit for bit, as a loop over bins.
     """
+    _check_dims(grad, "pyramid_pool_backward")
+    if grad.ndim != 2:
+        raise DimensionError(f"pyramid_pool_backward: grad must be CxT, got shape {grad.shape}")
+    _finite(grad, "pyramid_pool_backward input")
     c, t = grad.shape
     if t != anchor_count(spec):
         raise DimensionError(f"pyramid_pool_backward: grad has {t} anchors, "

@@ -67,6 +67,26 @@ def loop_pyramid_pool(x, sizes):
     return np.stack(cols, axis=1) if cols else np.zeros((c, 0))
 
 
+def contiguous_pyramid_pool(x, sizes):
+    """Pyramid pooling by its definition: each bin copied out contiguously, row-major,
+    summed by numpy along that one axis and divided by the Python-int area.
+
+    Unlike a strided `mean`, the result does not depend on how numpy buffers a
+    non-contiguous reduction, so `pyramid_pool` must match it byte for byte.
+    """
+    c, h, w = x.shape
+    cols = []
+    for n in sizes:
+        re = loop_bin_edges(h, n)
+        ce = loop_bin_edges(w, n)
+        for i in range(n):
+            for j in range(n):
+                block = np.ascontiguousarray(x[:, re[i]:re[i + 1], ce[j]:ce[j + 1]])
+                area = (re[i + 1] - re[i]) * (ce[j + 1] - ce[j])
+                cols.append(block.reshape(c, -1).sum(axis=1) / area)
+    return np.stack(cols, axis=1)
+
+
 def loop_pyramid_pool_backward(grad, sizes, height, width):
     """Adjoint of pyramid pooling, one bin at a time: each anchor's gradient over its area.
 

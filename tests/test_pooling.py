@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poolattn import pooling
 from poolattn.attention import param_count
 from poolattn.errors import ConfigurationError, DimensionError, NonFiniteError, PoolSizeError
+from poolattn.gradcheck import MANIFEST
 from poolattn.pooling import (PAPER_EVEN, PAPER_ODD, TOY_EVEN_MATCHED, TOY_ODD,
                               TOY_ODD_MATCHED, PyramidSpec, anchor_count, bin_edges,
                               boundary_histogram, interior_offsets, parse_spec,
                               pyramid_pool, pyramid_pool_backward)
 from poolattn.rng import Rng
 
-from oracles import loop_bin_edges, loop_pyramid_pool, loop_pyramid_pool_backward
+from oracles import (contiguous_pyramid_pool, loop_bin_edges, loop_pyramid_pool,
+                     loop_pyramid_pool_backward)
 
 DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
 
@@ -79,6 +82,94 @@ def test_pyramid_pool_matches_oracle():
         x = rng.fill_uniform((3, h, w), 2.0)
         assert np.allclose(pyramid_pool(x, PyramidSpec(sizes)),
                            loop_pyramid_pool(x, sizes), rtol=0, atol=1e-13)
+
+
+def _manifest_pool_cases():
+    """(C, H, W, sizes) for every pyramid the SPA and network manifest entries pool."""
+    cases = []
+    for _, kind, cfg in MANIFEST:
+        if kind in ("spa", "network"):
+            h = cfg.get("h", cfg.get("size"))
+            w = cfg.get("w", h)
+            channels = cfg.get("c", cfg.get("channels"))
+            for c in {channels, cfg.get("chat", channels)}:
+                cases += [(c, h, w, cfg[key]) for key in ("odd", "even") if key in cfg]
+    return cases
+
+
+@DTYPES
+def test_pool_matches_contiguous_oracle_bytewise(dtype):
+    # Paper shapes, the gradient manifest and the train-demo 16x16 pyramids:
+    # every pinned value rests on these exact bits.
+    cases = [(32, 96, 96, PAPER_EVEN.sizes), (64, 96, 96, PAPER_ODD.sizes)]
+    cases += _manifest_pool_cases()
+    cases += [(16, 16, 16, spec.sizes) for spec in (TOY_ODD, TOY_EVEN_MATCHED, TOY_ODD_MATCHED)]
+    rng = Rng(9)
+    for c, h, w, sizes in cases:
+        x = rng.fill_uniform((c, h, w), 2.0, dtype)
+        got = pyramid_pool(x, PyramidSpec(sizes))
+        want = contiguous_pyramid_pool(x, sizes)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes(), (c, h, w, sizes)
+
+
+@DTYPES
+@settings(max_examples=40, deadline=None)
+@given(_pool_case(), st.integers(0, 2**32 - 1))
+def test_pool_matches_contiguous_oracle_bytewise_property(dtype, case, seed):
+    h, w, spec = case
+    x = Rng(seed).fill_uniform((3, h, w), 2.0, dtype)
+    got = pyramid_pool(x, spec)
+    want = contiguous_pyramid_pool(x, spec.sizes)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_pool_bins_larger_than_numpy_buffer_match_loop_oracle():
+    # 91 x 91 = 8281-pixel strided bins: more than np.getbufsize() elements,
+    # still summed as one pairwise sum of the gathered bin.
+    x = Rng(10).fill_uniform((2, 182, 182), 2.0)
+    assert np.allclose(pyramid_pool(x, PyramidSpec((1, 2))), loop_pyramid_pool(x, (1, 2)),
+                       rtol=0, atol=1e-13)
+
+
+def test_pool_gathers_once_per_bin_area_from_cached_plan(monkeypatch):
+    areas = set()
+    for n in PAPER_ODD.sizes:
+        edges = np.diff(loop_bin_edges(96, n))
+        areas.update(int(a) for a in np.outer(edges, edges).ravel())
+    calls = []
+    take = np.take
+
+    def counting_take(*args, **kwargs):
+        calls.append(args[1].shape)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counting_take)
+    pooling._pool_plan.cache_clear()
+    x = Rng(11).fill_uniform((2, 96, 96), 1.0)
+    for _ in range(3):
+        pyramid_pool(x, PAPER_ODD)
+    assert len(calls) == 3 * len(areas)
+    assert sorted(shape[1] for shape in calls[: len(areas)]) == sorted(areas)
+    assert len(areas) < anchor_count(PAPER_ODD) // 10
+    info = pooling._pool_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_pyramid_pool_size_error_names_size_that_misses_width():
+    with pytest.raises(PoolSizeError, match="5"):
+        pyramid_pool(np.ones((1, 6, 4)), PyramidSpec((1, 5)))
+
+
+@pytest.mark.parametrize("grad, error", [
+    (np.ones((1, 5, 1)), DimensionError),
+    (np.ones((1, 5), dtype=np.float16), DimensionError),
+    (np.ones((1, 5), dtype=np.int64), DimensionError),
+    (np.array([[1.0, np.nan, 1.0, 1.0, 1.0]]), NonFiniteError),
+], ids=["rank3", "float16", "int64", "nan"])
+def test_backward_checks_grad(grad, error):
+    with pytest.raises(error):
+        pyramid_pool_backward(grad, PyramidSpec((1, 2)), 4, 4)
 
 
 def test_bin_edges_follow_floor_rule():
