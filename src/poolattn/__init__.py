@@ -8,17 +8,23 @@ training demo, all driven by the `poolattn` CLI.
 
 import os as _os
 
-# POOLATTN_THREADS caps BLAS parallelism; it must land in the environment
-# before numpy loads its backend, hence before any submodule import.
-_cap = _os.environ.get("POOLATTN_THREADS")
-if _cap is not None and _cap.isdigit() and int(_cap) >= 1:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _cap)
-
 from .version import __version__
 from .errors import (ComparisonError, ConfigurationError, DimensionError, DptFormatError,
                      LabelError, NonFiniteError, OracleError, PoolAttnError,
                      PoolSizeError, ResourceLimitError, TrainingDivergenceError)
+from .threads import thread_cap as _thread_cap
+
+# POOLATTN_THREADS caps BLAS parallelism; it must land in the environment
+# before numpy loads its backend, hence before any numpy-importing submodule.
+# A bad value is left unapplied here; the CLI rejects it with exit 2.
+try:
+    _cap = _thread_cap()
+except ConfigurationError:
+    _cap = None
+if _cap is not None:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ[_var] = str(_cap)
+
 from .rng import Rng
 from . import ops
 from .pooling import (PAPER_EVEN, PAPER_ODD, TOY_EVEN_MATCHED, TOY_ODD, TOY_ODD_MATCHED,

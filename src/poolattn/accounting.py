@@ -27,7 +27,6 @@ class CostReport:
     """Cost of one attention module at one input shape."""
 
     params: int
-    flops_core: int          # attention-map build + softmax + aggregation
     flops_proj: int          # 1x1 projections
     flops_pool: int          # pyramid pooling adds
     attn_map_bytes: int
@@ -38,6 +37,11 @@ class CostReport:
     flops_extra: int = 0     # CPA max + difference
     dtype: str = "f32"
     spec_names: tuple[str, str] | None = None
+
+    @property
+    def flops_core(self) -> int:
+        """Attention-map build + softmax + aggregation (+ CPA max and difference)."""
+        return self.flops_map + self.flops_softmax + self.flops_agg + self.flops_extra
 
     @property
     def flops_total(self) -> int:
@@ -76,7 +80,6 @@ def cost_nonlocal(c: int, chat: int, h: int, w: int, dtype=np.float32) -> CostRe
     fagg = 2 * c * n * n
     return CostReport(
         params=2 * chat * c + c * c + 1,
-        flops_core=fmap + fsoft + fagg,
         flops_proj=2 * n * (2 * chat * c + c * c),
         flops_pool=0,
         attn_map_bytes=n * n * dtype_size(dtype),
@@ -104,7 +107,6 @@ def cost_spa(c: int, chat: int, h: int, w: int, k_spec: PyramidSpec, v_spec: Pyr
     fagg = 2 * c * n * t
     return CostReport(
         params=2 * chat * c + c * c + 1,     # pooling adds zero learnables
-        flops_core=fmap + fsoft + fagg,
         flops_proj=2 * n * (2 * chat * c + c * c),
         flops_pool=n * (len(k_spec.sizes) * chat + len(v_spec.sizes) * c),
         attn_map_bytes=t * n * dtype_size(dtype),
@@ -124,7 +126,6 @@ def cost_cpa(c: int, h: int, w: int, with_proj: bool, dtype=np.float32) -> CostR
     fagg = 2 * n * c * c
     return CostReport(
         params=3 * c * c + 1 if with_proj else 1,
-        flops_core=fmap + fextra + fsoft + fagg,
         flops_proj=2 * n * 3 * c * c if with_proj else 0,
         flops_pool=0,
         attn_map_bytes=c * c * dtype_size(dtype),

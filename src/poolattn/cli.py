@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import harness
+from . import harness, threads
 from .errors import (ComparisonError, ConfigurationError, DimensionError, DptFormatError,
                      LabelError, NonFiniteError, PoolSizeError, ResourceLimitError,
                      TrainingDivergenceError)
@@ -44,13 +44,31 @@ def _spatial(args, parser: argparse.ArgumentParser) -> tuple[int, int]:
     parser.error("provide --hw or both --height and --width")
 
 
-def _add_shape_flags(p: argparse.ArgumentParser, chat_default_half: bool = False) -> None:
-    p.add_argument("--c", type=int, default=64, help="input channels (default 64)")
-    p.add_argument("--chat", type=int, default=None,
+def _at_least(minimum: int):
+    """An argparse type for integers >= minimum; anything else exits 2 with a message."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+    return integer
+
+
+_positive = _at_least(1)
+
+
+def integers(text: str) -> list[int]:
+    """An argparse type for a comma list of integers >= 1 (named for its error message)."""
+    return [_positive(s) for s in text.split(",")]
+
+
+def _add_shape_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--c", type=_positive, default=64, help="input channels (default 64)")
+    p.add_argument("--chat", type=_positive, default=None,
                    help="query/key channels (default: same as --c)")
-    p.add_argument("--hw", type=int, default=None, help="square spatial size")
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--hw", type=_positive, default=None, help="square spatial size")
+    p.add_argument("--height", type=_positive, default=None)
+    p.add_argument("--width", type=_positive, default=None)
     p.add_argument("--spec-k", default="paper-even",
                    help="key pyramid: preset name or comma list (default paper-even)")
     p.add_argument("--spec-v", default="paper-odd",
@@ -73,31 +91,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-time comparison of baseline vs pooled attention")
     _add_shape_flags(p)
     p.add_argument("--reps", type=int, default=5, help="timed repetitions (minimum 5)")
-    p.add_argument("--warmup", type=int, default=2)
+    p.add_argument("--warmup", type=_at_least(0), default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--serial", action="store_true",
-                   help="force the index-ascending reference matmul path")
     p.add_argument("--mem-limit", type=int, default=None,
                    help="abort (exit 3) if the baseline map exceeds this many bytes")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("equivalence",
                        help="full-resolution oracle and gate-closed identity suites")
-    p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--sizes", default="3,5", help="comma list of square sizes")
-    p.add_argument("--channels", default="2,4", help="comma list paired with --sizes")
+    p.add_argument("--seeds", type=_positive, default=50)
+    p.add_argument("--sizes", type=integers, default="3,5",
+                   help="comma list of square sizes")
+    p.add_argument("--channels", type=integers, default="2,4",
+                   help="comma list paired with --sizes")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--inject-failure", action="store_true",
-                   help="test mode: run the oracle with a mismatched pyramid to prove "
-                        "the driver detects failures")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of the backward passes")
     p.add_argument("--kind", required=True,
                    choices=["nonlocal", "spa", "cpa", "network", "all"])
-    p.add_argument("--c", type=int, default=4)
-    p.add_argument("--chat", type=int, default=None)
-    p.add_argument("--hw", type=int, default=6)
+    p.add_argument("--c", type=_positive, default=4)
+    p.add_argument("--chat", type=_positive, default=None)
+    p.add_argument("--hw", type=_positive, default=6)
     p.add_argument("--spec", default="1,2",
                    help="pyramid sizes for the spa kinds (comma list or preset)")
     p.add_argument("--spec-even", default=None,
@@ -140,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-tensor", required=True)
     p.add_argument("--out-attn", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chat", type=int, default=None)
+    p.add_argument("--chat", type=_positive, default=None)
     p.add_argument("--spec-k", default="paper-even")
     p.add_argument("--spec-v", default="paper-odd")
     p.add_argument("--cpa-mode", choices=["subtract", "square"], default="subtract")
@@ -188,17 +203,12 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         report = harness.bench_report(args.c, args.chat or args.c, h, w,
                                       parse_spec(args.spec_k), parse_spec(args.spec_v),
                                       args.dtype, args.reps, args.warmup, args.seed,
-                                      args.serial, args.mem_limit)
+                                      args.mem_limit)
         _emit(report, args.out)
         return EXIT_OK
 
     if args.command == "equivalence":
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        channels = [int(s) for s in args.channels.split(",") if s.strip()]
-        if not sizes or not channels:
-            raise ConfigurationError("--sizes and --channels need at least one entry")
-        report = harness.equivalence_report(args.seeds, sizes, channels, args.tol,
-                                            args.inject_failure)
+        report = harness.equivalence_report(args.seeds, args.sizes, args.channels, args.tol)
         _emit(report, args.out)
         if not report["all_passed"]:
             failing = next(c for c in report["cases"] if not c["passed"])
@@ -261,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cap = harness.thread_cap()  # validated here; applied at import in __init__
+        cap = threads.thread_cap()  # validated here; applied at import in __init__
         if cap is not None and args.command == "bench":
             print(f"thread cap: {cap}", file=sys.stderr)
         return _run(args, parser)

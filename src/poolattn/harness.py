@@ -7,21 +7,20 @@ train-demo report is deterministic byte-for-byte for fixed flags.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import statistics
 import sys
 import time
 
 import numpy as np
 
-from . import accounting, dpt, gradcheck, network, ops
+from . import accounting, dpt, gradcheck, network
 from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_forward,
                         init_projection, nonlocal_forward, param_count, spa_forward)
 from .errors import ConfigurationError, ResourceLimitError
 from .pooling import PyramidSpec, anchor_count, boundary_histogram, interior_offsets, \
     parse_spec, spec_name
 from .rng import Rng
+from .threads import thread_cap
 from .version import __version__
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -31,20 +30,6 @@ def resolve_dtype(name: str):
     if name not in _DTYPES:
         raise ConfigurationError(f"dtype must be f32 or f64, got {name!r}")
     return _DTYPES[name]
-
-
-def thread_cap() -> int | None:
-    raw = os.environ.get("POOLATTN_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"POOLATTN_THREADS must be a positive integer, "
-                                 f"got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigurationError(f"POOLATTN_THREADS must be a positive integer, got {cap}")
-    return cap
 
 
 def flops_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
@@ -78,7 +63,7 @@ def flops_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
 
 def bench_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
                  spec_v: PyramidSpec, dtype_name: str, reps: int, warmup: int,
-                 seed: int, serial: bool, mem_limit: int | None) -> dict:
+                 seed: int, mem_limit: int | None) -> dict:
     if reps < 5:
         raise ConfigurationError(f"bench needs at least 5 repetitions, got {reps}")
     dtype = resolve_dtype(dtype_name)
@@ -106,15 +91,14 @@ def bench_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
             samples.append((time.perf_counter() - t0) * 1000.0)
         return statistics.median(samples)
 
-    with ops.serial_matmul() if serial else contextlib.nullcontext():
-        nb_ms = timed(lambda: nonlocal_forward(x, proj, 1.0))
-        spa_ms = timed(lambda: spa_forward(x, module))
+    nb_ms = timed(lambda: nonlocal_forward(x, proj, 1.0))
+    spa_ms = timed(lambda: spa_forward(x, module))
 
     return {
         "version": __version__,
         "config": {"c": c, "chat": chat, "h": h, "w": w, "dtype": dtype_name,
                    "spec_k": names[0], "spec_v": names[1], "threads": thread_cap(),
-                   "serial": serial, "seed": seed},
+                   "seed": seed},
         "wall_ms": {"nonlocal": nb_ms, "spa": spa_ms},
         "speedup": nb_ms / spa_ms,
         "peak_attn_map_bytes": {"nonlocal": nb_cost.attn_map_bytes,
@@ -126,7 +110,7 @@ def bench_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
 
 
 def equivalence_report(seeds: int, sizes: list[int], channels: list[int],
-                       tolerance: float = 1e-12, inject_failure: bool = False) -> dict:
+                       tolerance: float = 1e-12) -> dict:
     """Full-resolution-pooling oracle plus gate-closed identity, per seed and size."""
     cases = []
     for seed in range(seeds):
@@ -138,9 +122,8 @@ def equivalence_report(seeds: int, sizes: list[int], channels: list[int],
             lam = 0.25 + rng.next_unit()
 
             full = PyramidSpec((size,))
-            k_spec = v_spec = PyramidSpec((1,)) if inject_failure else full
             mode = SpaMode.ONLY_ODD if size % 2 else SpaMode.ONLY_EVEN
-            spa_out, _ = spa_forward(x, SpaModule(proj, mode, k_spec, v_spec, lam))
+            spa_out, _ = spa_forward(x, SpaModule(proj, mode, full, full, lam))
             nb_out, _ = nonlocal_forward(x, proj, lam)
             max_abs = float(np.max(np.abs(spa_out - nb_out)))
 
@@ -161,7 +144,7 @@ def equivalence_report(seeds: int, sizes: list[int], channels: list[int],
     return {
         "version": __version__,
         "config": {"seeds": seeds, "sizes": sizes, "channels": channels,
-                   "tolerance": tolerance, "inject_failure": inject_failure},
+                   "tolerance": tolerance},
         "cases": cases,
         "all_passed": all(case["passed"] for case in cases),
     }

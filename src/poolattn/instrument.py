@@ -6,34 +6,36 @@ convention: multiply-accumulate = 2, exp/div/max/sub = 1, softmax over n
 entries = 5n, adaptive pooling = one add per input element per level
 (bin-mean divisions are excluded by convention; they are O(T) noise).
 
-Counting is opt-in via the `counting` context manager and is intended
-for single-threaded verification runs, not for the concurrent read path.
+Counting is opt-in via the `counting` context manager. The live tally is
+held in a context variable, so it belongs to the thread (or asyncio task)
+that opened the block: work in a thread started inside the block starts
+from a fresh context and is not counted.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
-_enabled = False
-_totals: dict[str, int] = {}
+_tally: ContextVar[dict[str, int] | None] = ContextVar("poolattn_flop_tally", default=None)
 
 
 def enabled() -> bool:
-    return _enabled
+    return _tally.get() is not None
 
 
 def add(category: str, flops: int) -> None:
-    if _enabled:
-        _totals[category] = _totals.get(category, 0) + int(flops)
+    tally = _tally.get()
+    if tally is not None:
+        tally[category] = tally.get(category, 0) + int(flops)
 
 
 @contextmanager
 def counting():
     """Enable counting, yield the live per-category tally dict."""
-    global _enabled, _totals
-    prev_enabled, prev_totals = _enabled, _totals
-    _enabled, _totals = True, {}
+    tally: dict[str, int] = {}
+    token = _tally.set(tally)
     try:
-        yield _totals
+        yield tally
     finally:
-        _enabled, _totals = prev_enabled, prev_totals
+        _tally.reset(token)

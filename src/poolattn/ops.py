@@ -5,17 +5,15 @@ values finite after every operation (NaN/Inf raises NonFiniteError).
 Operations are pure; the only in-place update is sgd_step, which demands
 exclusive access to its parameter arrays.
 
-matmul has two paths. The normative reference accumulates the inner
-index in ascending order (enable with `serial_matmul`); the default path
-delegates to numpy's BLAS, which must stay within 1e-12 relative of the
-reference and is bitwise reproducible call-to-call on one machine.
+matmul delegates to numpy's BLAS. It must stay within 1e-12 relative of
+the index-ascending reference (`tests/oracles.py` `loop_matmul`) and is
+bitwise reproducible call-to-call on one machine.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,24 +23,6 @@ from .rng import Rng
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
 _ALLOWED = (F32, F64)
-
-_serial_matmul = False
-
-
-def serial_matmul_enabled() -> bool:
-    return _serial_matmul
-
-
-@contextmanager
-def serial_matmul():
-    """Force the index-ascending reference path for the matmuls inside the block."""
-    global _serial_matmul
-    prev, _serial_matmul = _serial_matmul, True
-    try:
-        yield
-    finally:
-        _serial_matmul = prev
-
 
 def _quiet(fn):
     """Silence numpy FP warnings inside an op; the finite check is the contract."""
@@ -87,13 +67,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _same_dtype(a, b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    if _serial_matmul:
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
-        for i in range(a.shape[1]):  # ascending inner index = reference accumulation order
-            out += a[:, i : i + 1] * b[i : i + 1, :]
-    else:
-        out = np.matmul(a, b)
-    return _finite(out, "matmul")
+    return _finite(np.matmul(a, b), "matmul")
 
 
 @_quiet

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from poolattn import instrument, ops
+from poolattn import instrument
 from poolattn.accounting import cost_nonlocal, cost_spa, reduction_ratio
 from poolattn.attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_forward,
                                 init_projection, nonlocal_forward, param_count,
@@ -54,12 +54,12 @@ def test_criterion_2_complexity_reduction():
         proj = init_projection(rng, c, chat)
         x = rng.fill_uniform((c, h, w), 1.0)
         nb_c = cost_nonlocal(c, chat, h, w)
-        with ops.serial_matmul(), instrument.counting() as tally:
+        with instrument.counting() as tally:
             nonlocal_forward(x, proj, 0.5)
         assert (tally["map"] + tally["softmax"] + tally["agg"] == nb_c.flops_core
                 and tally["proj"] == nb_c.flops_proj)
         spa_c = cost_spa(c, chat, h, w, spec, spec)
-        with ops.serial_matmul(), instrument.counting() as tally:
+        with instrument.counting() as tally:
             spa_forward(x, SpaModule(proj, SpaMode.ONLY_EVEN, spec, spec, 0.5))
         assert (tally["map"] + tally["softmax"] + tally["agg"] == spa_c.flops_core
                 and tally["proj"] == spa_c.flops_proj
@@ -151,7 +151,7 @@ def test_criterion_7_training_demonstration():
 def test_criterion_8_benchmark_direction():
     report = bench_report(c=64, chat=32, h=96, w=96, spec_k=PAPER_EVEN,
                           spec_v=PAPER_ODD, dtype_name="f32", reps=5, warmup=2,
-                          seed=0, serial=False, mem_limit=None)
+                          seed=0, mem_limit=None)
     assert report["peak_attn_map_bytes"]["nonlocal"] == 339738624
     assert report["peak_attn_map_bytes"]["spa"] == 11980800
     assert report["wall_ms"]["spa"] < report["wall_ms"]["nonlocal"]

@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from poolattn import instrument, ops
+from poolattn import instrument
 from poolattn.accounting import (cost_cpa, cost_nonlocal, cost_spa, reduction_ratio)
 from poolattn.attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_forward,
                                 init_projection, nonlocal_forward, param_count,
@@ -99,7 +101,7 @@ def test_params_match_module_enumeration():
 
 
 def test_instrumented_execution_matches_closed_form():
-    # Ten random shapes; counts from the serial reference path must equal the
+    # Ten random shapes; counts from the instrumented forwards must equal the
     # closed-form accounting exactly, category by category.
     rng = Rng(99)
     shape_rng = Rng(123)
@@ -114,7 +116,7 @@ def test_instrumented_execution_matches_closed_form():
         x = rng.fill_uniform((c, h, w), 1.0)
 
         nb = cost_nonlocal(c, chat, h, w)
-        with ops.serial_matmul(), instrument.counting() as tally:
+        with instrument.counting() as tally:
             nonlocal_forward(x, proj, 0.7)
         assert tally["map"] == nb.flops_map
         assert tally["softmax"] == nb.flops_softmax
@@ -124,7 +126,7 @@ def test_instrumented_execution_matches_closed_form():
 
         spa_cost = cost_spa(c, chat, h, w, spec, spec)
         module = SpaModule(proj, SpaMode.ONLY_EVEN, spec, spec, 0.7)
-        with ops.serial_matmul(), instrument.counting() as tally:
+        with instrument.counting() as tally:
             spa_forward(x, module)
         assert tally["map"] == spa_cost.flops_map
         assert tally["softmax"] == spa_cost.flops_softmax
@@ -136,13 +138,30 @@ def test_instrumented_execution_matches_closed_form():
         with_proj = trial % 3 == 0
         cpa_cost = cost_cpa(c, h, w, with_proj=with_proj)
         cmod = CpaModule(init_projection(rng, c) if with_proj else None, mode, 0.3)
-        with ops.serial_matmul(), instrument.counting() as tally:
+        with instrument.counting() as tally:
             cpa_forward(x, cmod)
         assert tally["map"] == cpa_cost.flops_map
         assert tally["maxdiff"] == cpa_cost.flops_extra
         assert tally["softmax"] == cpa_cost.flops_softmax
         assert tally["agg"] == cpa_cost.flops_agg
         assert tally.get("proj", 0) == cpa_cost.flops_proj
+
+
+def test_counting_tally_is_private_to_its_thread_and_nests():
+    x = Rng(5).fill_uniform((2, 4, 4), 1.0)
+    proj = init_projection(Rng(6), 2, 2)
+    with instrument.counting() as outer:
+        worker = threading.Thread(target=nonlocal_forward, args=(x, proj, 0.5))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert outer == {}
+        with instrument.counting() as inner:
+            nonlocal_forward(x, proj, 0.5)
+        assert outer == {} and inner["map"] == cost_nonlocal(2, 2, 4, 4).flops_map
+        instrument.add("map", 3)
+        assert outer == {"map": 3}
+    assert not instrument.enabled()
 
 
 def test_spa_core_always_below_nonlocal_when_t_below_n():

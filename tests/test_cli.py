@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from referencing import Registry, Resource
 
 import poolattn
-from poolattn import cli, ops
+from poolattn import cli, harness
 from poolattn.dpt import read_dpt, write_dpt
 from poolattn.rng import Rng
 
@@ -33,7 +34,6 @@ def validate(kind: str, report: dict) -> None:
 
 
 def run_cli(*args, env=None):
-    import os
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -95,15 +95,6 @@ def test_bench_small_shape(tmp_path):
     assert "attention map" in out.stderr
 
 
-def test_bench_serial_path(tmp_path):
-    out = run_cli("bench", "--hw", "8", "--c", "4", "--chat", "4",
-                  "--spec-k", "1,2", "--spec-v", "1,2", "--reps", "5", "--serial")
-    assert out.returncode == 0
-    report = json.loads(out.stdout)
-    validate("bench", report)
-    assert report["config"]["serial"] is True
-
-
 def test_bench_too_few_reps_exits_2():
     out = run_cli("bench", "--hw", "16", "--reps", "1")
     assert out.returncode == 2
@@ -124,14 +115,20 @@ def test_equivalence_default_suite_passes():
     assert report["all_passed"] and len(report["cases"]) == 10
 
 
-def test_equivalence_injected_failure_detected():
-    out = run_cli("equivalence", "--seeds", "2", "--sizes", "3", "--channels", "2",
-                  "--inject-failure")
-    assert out.returncode == 1
-    report = json.loads(out.stdout)
+def test_equivalence_injected_failure_detected(monkeypatch, capsys):
+    real = harness.nonlocal_forward
+
+    def off_by_1e9(x, proj, lam):
+        out, attn = real(x, proj, lam)
+        return out + 1e-9, attn
+
+    monkeypatch.setattr(harness, "nonlocal_forward", off_by_1e9)
+    assert cli.main(["equivalence", "--seeds", "2", "--sizes", "3", "--channels", "2"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
     validate("equivalence", report)
     assert not report["all_passed"]
-    assert "equivalence failed" in out.stderr
+    assert "equivalence failed" in captured.err
 
 
 def test_gradcheck_spa_passes():
@@ -284,13 +281,6 @@ def test_attn_bad_input_exits_2(tmp_path, case):
     assert "Traceback" not in out.stderr
 
 
-def test_serial_flag_does_not_outlive_the_command(capsys):
-    assert cli.main(["bench", "--hw", "6", "--c", "4", "--chat", "2", "--spec-k", "1,2",
-                     "--spec-v", "1,2", "--serial"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["serial"] is True
-    assert not ops.serial_matmul_enabled()
-
-
 def test_invalid_thread_cap_exits_2():
     out = run_cli("flops", "--hw", "8", env={"POOLATTN_THREADS": "zero"})
     assert out.returncode == 2
@@ -300,6 +290,48 @@ def test_invalid_thread_cap_exits_2():
 def test_thread_cap_accepted():
     out = run_cli("flops", "--hw", "8", env={"POOLATTN_THREADS": "1"})
     assert out.returncode == 0
+
+
+_BENCH_WITH_BLAS_ENV = (
+    "import os, sys\n"
+    "from poolattn import cli\n"
+    "print('OPENBLAS_NUM_THREADS=' + os.environ['OPENBLAS_NUM_THREADS'], file=sys.stderr)\n"
+    "sys.exit(cli.main(['bench', '--hw', '4', '--c', '2', '--spec-k', '1,2',\n"
+    "                   '--spec-v', '1,2', '--warmup', '0']))\n"
+)
+
+
+@pytest.mark.parametrize("raw", ["2", "+2", " 2", "2 ", "0", "abc", "\u00b2"])
+def test_thread_cap_is_applied_and_reported_or_rejected(raw):
+    out = subprocess.run([sys.executable, "-c", _BENCH_WITH_BLAS_ENV], capture_output=True,
+                         text=True, env={**os.environ, "POOLATTN_THREADS": raw,
+                                         "OPENBLAS_NUM_THREADS": "7"})
+    if out.returncode == 0:
+        threads = json.loads(out.stdout)["config"]["threads"]
+        assert f"OPENBLAS_NUM_THREADS={threads}\n" in out.stderr
+    else:
+        assert out.returncode == 2, out.stderr
+        assert "OPENBLAS_NUM_THREADS=7\n" in out.stderr
+        assert "error: POOLATTN_THREADS" in out.stderr
+    assert (out.returncode == 0) == (raw == "2")
+
+
+@pytest.mark.parametrize("flag,args", [
+    ("--c", ["flops", "--c", "0", "--hw", "8"]),
+    ("--hw", ["flops", "--hw", "0"]),
+    ("--chat", ["flops", "--chat", "0", "--hw", "8"]),
+    ("--c", ["bench", "--c", "0", "--hw", "8"]),
+    ("--warmup", ["bench", "--warmup", "-1", "--hw", "4", "--c", "2", "--spec-k", "1,2",
+                  "--spec-v", "1,2"]),
+    ("--channels", ["equivalence", "--seeds", "1", "--channels", "2,0"]),
+    ("--seeds", ["equivalence", "--seeds", "0"]),
+])
+def test_bad_integer_flag_exits_2(flag, args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
 
 
 def test_version_flag():

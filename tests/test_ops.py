@@ -37,16 +37,14 @@ def test_matmul_mismatch_names_both_shapes():
         ops.matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
-def test_matmul_serial_matches_fast_and_oracle():
+def test_matmul_matches_index_ascending_oracle():
     rng = Rng(2)
     for _ in range(10):
         a = rng.fill_uniform((5, 7), 2.0)
         b = rng.fill_uniform((7, 4), 2.0)
         fast = ops.matmul(a, b)
-        with ops.serial_matmul():
-            serial = ops.matmul(a, b)
-        assert np.max(np.abs(fast - serial)) <= 1e-12 * max(1.0, np.max(np.abs(serial)))
-        assert np.allclose(serial, loop_matmul(a, b), rtol=0, atol=1e-12)
+        ref = loop_matmul(a, b)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_matmul_deterministic_repeat():
