@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import harness, threads
@@ -55,6 +56,14 @@ def _at_least(minimum: int):
 
 
 _positive = _at_least(1)
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type for finite floats > 0; anything else exits 2 with a message."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {value}")
+    return value
 
 
 def integers(text: str) -> list[int]:
@@ -104,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of square sizes")
     p.add_argument("--channels", type=integers, default="2,4",
                    help="comma list paired with --sizes")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float, default=1e-12)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of the backward passes")
@@ -122,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-proj", action="store_true", help="cpa: include projections")
     p.add_argument("--size", type=int, default=8, help="network: image size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--h", type=_positive_float, default=1e-5, help="finite-difference step")
+    p.add_argument("--tol", type=_positive_float, default=1e-4)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("train-demo", help="train the toy two-branch network")

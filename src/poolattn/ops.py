@@ -23,6 +23,8 @@ from .rng import Rng
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
 _ALLOWED = (F32, F64)
+# Elements per slice of the softmax flush: a 256 KB mask, one slice for any C x C map.
+_FLUSH_SLICE = 1 << 18
 
 def _quiet(fn):
     """Silence numpy FP warnings inside an op; the finite check is the contract."""
@@ -74,14 +76,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def softmax(a: np.ndarray, axis: int) -> np.ndarray:
     """Softmax along `axis` of a rank-2 array, shifted by the max for stability.
 
-    Only the input is checked: with finite input the max entry adds exp(0) = 1
-    to each sum, so every output lies in [0, 1].
+    Each weight is 0 or lies in [tiny, 1], tiny = np.finfo(dtype).tiny: weights
+    that underflow into subnormals are flushed to 0, because BLAS runs many
+    times slower on subnormal operands (a peaked CPA map in f32 has dozens) and
+    such a weight changes a sum by less than tiny. Only the input is checked:
+    with finite input the max entry adds exp(0) = 1 to each sum.
     """
     _rank2(a, "softmax")
     _finite(a, "softmax input")
     shifted = a - a.max(axis=axis, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
+    tiny = np.finfo(shifted.dtype).tiny
+    flat = shifted.ravel(order="K")  # a view: `shifted` is C- or F-contiguous, as `a` lays out
+    for start in range(0, flat.size, _FLUSH_SLICE):  # bounded mask, not one map-sized
+        part = flat[start:start + _FLUSH_SLICE]
+        part[part < tiny] = 0
     return shifted
 
 

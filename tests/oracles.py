@@ -34,6 +34,15 @@ def loop_softmax_rows(a):
     return out
 
 
+def unflushed_softmax(a, axis):
+    """`ops.softmax` arithmetic without its subnormal flush: the same numpy calls
+    in the same order, so the two differ only where a weight is below tiny."""
+    shifted = a - a.max(axis=axis, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=axis, keepdims=True)
+    return shifted
+
+
 def loop_bin_edges(extent, n):
     return [(i * extent) // n for i in range(n + 1)]
 

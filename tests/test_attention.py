@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poolattn import ops
 from poolattn.attention import (CpaMode, CpaModule, ProjectionWeights, SpaMode, SpaModule,
-                                cpa_backward, cpa_forward, init_projection,
+                                cpa_backward, cpa_forward, cpa_stages, cpa_stages_backward,
+                                init_projection,
                                 nonlocal_backward, nonlocal_forward, param_count,
                                 spa_backward, spa_forward, spa_module)
 from poolattn.errors import ConfigurationError, DimensionError, PoolSizeError
 from poolattn.pooling import PAPER_EVEN, PAPER_ODD, PyramidSpec
 from poolattn.rng import Rng
 
-from oracles import loop_cpa, loop_nonlocal
+from oracles import loop_cpa, loop_nonlocal, unflushed_softmax
 
 
 def _random_case(seed, c, size, chat=None):
@@ -81,6 +83,19 @@ def test_spa_full_resolution_equals_nonlocal():
             assert np.max(np.abs(spa_out - nb_out)) < 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 7), st.data(), st.floats(0.05, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_spa_full_resolution_equals_nonlocal_property(c, size, data, lam, seed):
+    chat = data.draw(st.integers(1, c))
+    _, proj, x = _random_case(seed, c, size, chat)
+    spec = PyramidSpec((size,))
+    spa_out, spa_attn = spa_forward(x, SpaModule(proj, SpaMode.ONLY_ODD, spec, spec, lam))
+    nb_out, nb_attn = nonlocal_forward(x, proj, lam)
+    assert np.max(np.abs(spa_out - nb_out)) <= 1e-12
+    assert np.max(np.abs(spa_attn - nb_attn.T)) <= 1e-12
+
+
 def test_spa_paper_specs_attention_shape():
     rng = Rng(20)
     proj = init_projection(rng, 2)
@@ -133,6 +148,54 @@ def test_cpa_gate_closed_is_bitwise_identity():
         for mode in CpaMode:
             out, _ = cpa_forward(x, CpaModule(None, mode, 0.0))
             assert np.array_equal(out, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([ops.F32, ops.F64]), st.integers(1, 5), st.integers(1, 6),
+       st.integers(1, 6), st.floats(0.01, 20.0), st.data(), st.integers(0, 2**32 - 1))
+def test_closed_gate_is_bitwise_identity_property(dtype, c, h, w, scale, data, seed):
+    chat = data.draw(st.integers(1, c))
+    sizes = data.draw(st.lists(st.integers(1, min(h, w)), min_size=1, max_size=3, unique=True))
+    spec = PyramidSpec(tuple(sorted(sizes)))
+    rng = Rng(seed)
+    x = rng.fill_uniform((c, h, w), scale, dtype)
+    proj = init_projection(rng, c, chat, dtype)
+    outs = [nonlocal_forward(x, proj, 0.0)[0],
+            spa_forward(x, SpaModule(proj, SpaMode.MIXED, spec, spec, 0.0))[0]]
+    for cpa_proj in (None, init_projection(rng, c, None, dtype)):
+        outs += [cpa_forward(x, CpaModule(cpa_proj, mode, 0.0))[0] for mode in CpaMode]
+    for out in outs:
+        assert out.dtype == dtype and np.array_equal(out, x)
+
+
+@pytest.mark.parametrize("c,size,mode", [(64, 96, CpaMode.SUBTRACT),
+                                         (32, 32, CpaMode.SUBTRACT),
+                                         (64, 48, CpaMode.SQUARE)])
+def test_cpa_f32_map_has_no_subnormal_weights(monkeypatch, c, size, mode):
+    # The benchmark's seed-0 draw (input, upstream gradient, then weights from Rng(1));
+    # each shape's unflushed map holds subnormal weights (41, 80 and 2 of them).
+    rng = Rng(1)
+    x = rng.fill_uniform((c, size, size), 1.0, ops.F32)
+    g = rng.fill_uniform((c, size, size), 1.0, ops.F32)
+    m = CpaModule(init_projection(rng, c, None, ops.F32), mode, 1.0)
+
+    def run():
+        out, attn, cache = cpa_stages(x, m)
+        return out, attn, cpa_stages_backward(cache, g)
+
+    out, attn, grads = run()
+    monkeypatch.setattr(ops, "softmax", unflushed_softmax)
+    ref_out, ref_attn, ref_grads = run()
+    tiny = np.finfo(np.float32).tiny
+    assert np.any((ref_attn > 0) & (ref_attn < tiny))
+    assert not np.any((attn > 0) & (attn < tiny))
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(grads["x"], ref_grads["x"])
+    # A weight-gradient entry sums C*N terms, and a flushed weight moves each by
+    # about its own size, below tiny.
+    bound = tiny * c * size * size
+    for key in ("mu", "w_q", "w_k", "w_v"):
+        assert np.max(np.abs(grads[key] - ref_grads[key])) <= bound, key
 
 
 def test_cpa_single_channel():

@@ -12,6 +12,7 @@ from referencing import Registry, Resource
 import poolattn
 from poolattn import cli, harness
 from poolattn.dpt import read_dpt, write_dpt
+from poolattn.errors import ConfigurationError
 from poolattn.rng import Rng
 
 SCHEMA_DIR = Path(poolattn.__file__).parent / "schemas"
@@ -129,6 +130,13 @@ def test_equivalence_injected_failure_detected(monkeypatch, capsys):
     validate("equivalence", report)
     assert not report["all_passed"]
     assert "equivalence failed" in captured.err
+
+
+@pytest.mark.parametrize("seeds,sizes,channels", [(0, [3], [2]), (-1, [3], [2]),
+                                                   (1, [], [2]), (1, [3], [])])
+def test_equivalence_report_refuses_an_empty_suite(seeds, sizes, channels):
+    with pytest.raises(ConfigurationError, match="equivalence needs"):
+        harness.equivalence_report(seeds, sizes, channels)
 
 
 def test_gradcheck_spa_passes():
@@ -327,6 +335,24 @@ def test_thread_cap_is_applied_and_reported_or_rejected(raw):
     ("--seeds", ["equivalence", "--seeds", "0"]),
 ])
 def test_bad_integer_flag_exits_2(flag, args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,args", [
+    ("--tol", ["equivalence", "--seeds", "1", "--tol", "0"]),
+    ("--tol", ["equivalence", "--seeds", "1", "--tol", "-1"]),
+    ("--tol", ["equivalence", "--seeds", "1", "--tol", "nan"]),
+    ("--tol", ["gradcheck", "--kind", "cpa", "--tol", "-1"]),
+    ("--tol", ["gradcheck", "--kind", "cpa", "--tol", "0"]),
+    ("--h", ["gradcheck", "--kind", "cpa", "--h", "0"]),
+    ("--h", ["gradcheck", "--kind", "cpa", "--h", "-0.001"]),
+    ("--h", ["gradcheck", "--kind", "cpa", "--h", "inf"]),
+])
+def test_bad_float_flag_exits_2(flag, args, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
     assert exc.value.code == 2

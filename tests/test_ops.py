@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poolattn import ops
 from poolattn.errors import (ConfigurationError, DimensionError, LabelError,
@@ -9,7 +10,7 @@ from poolattn.errors import (ConfigurationError, DimensionError, LabelError,
 from poolattn.pooling import PyramidSpec, bin_edges, pyramid_pool
 from poolattn.rng import Rng
 
-from oracles import loop_adaptive_pool, loop_matmul, loop_softmax_rows
+from oracles import loop_adaptive_pool, loop_matmul, loop_softmax_rows, unflushed_softmax
 
 
 # --- matmul ---------------------------------------------------------------
@@ -99,6 +100,38 @@ def test_softmax_shift_invariance():
 def test_softmax_matches_oracle():
     a = Rng(7).fill_uniform((5, 6), 20.0)
     assert np.allclose(ops.softmax(a, axis=1), loop_softmax_rows(a), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(np.float64, 1e-12), (np.float32, 1e-5)]), st.integers(0, 1),
+       st.integers(1, 12), st.integers(1, 12), st.floats(1.0, 2000.0),
+       st.integers(0, 2**32 - 1))
+def test_softmax_flushes_subnormal_weights_property(dtype_tol, axis, m, n, spread, seed):
+    # Logits spread up to 2000 wide underflow exp in f32 (past ~87) and in f64 (past ~708).
+    # Both memory layouts: the flush must reach a column-major result too.
+    dtype, tol = dtype_tol
+    tiny = np.finfo(dtype).tiny
+    a = Rng(seed).fill_uniform((m, n), spread, dtype)
+    for logits in (a, np.asfortranarray(a)):
+        out = ops.softmax(logits, axis=axis)
+        ref = unflushed_softmax(logits, axis)
+        assert out.dtype == dtype
+        assert not np.any((out > 0) & (out < tiny))
+        assert np.all(np.abs(out - ref) < tiny)
+        assert np.max(np.abs(out.sum(axis=axis) - 1.0)) < tol
+
+
+def test_softmax_flush_reaches_every_slice_of_a_large_map():
+    # 600 x 600 > 2^18 entries, so the flush walks more than one slice.
+    a = Rng(9).fill_uniform((600, 600), 100.0, np.float32)
+    tiny = np.finfo(np.float32).tiny
+    for axis in (0, 1):
+        ref = unflushed_softmax(a, axis)
+        subnormal = (ref > 0) & (ref < tiny)
+        assert subnormal.reshape(-1)[1 << 18:].any()
+        out = ops.softmax(a, axis=axis)
+        assert not np.any((out > 0) & (out < tiny))
+        assert np.array_equal(out[~subnormal], ref[~subnormal])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
