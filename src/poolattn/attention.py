@@ -188,7 +188,7 @@ def nonlocal_stages(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | fl
     gamma = _project(proj.w_v, xf)
     logits = ops.matmul(ops.transpose2d(alpha), beta)    # N x N, row j = position j's queries
     instrument.add("map", 2 * proj.reduced * logits.size)
-    attn = ops.softmax(logits, axis=1)
+    attn = ops.softmax(logits, axis=1, out=logits)      # the map is held once
     instrument.add("softmax", 5 * attn.size)
     agg = ops.transpose2d(ops.matmul(attn, ops.transpose2d(gamma)))  # C x N
     instrument.add("agg", 2 * c * attn.size)
@@ -202,7 +202,7 @@ def nonlocal_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarra
     d_lam, d_agg = _gate_backward(g, agg, lam)
     d_attn = ops.matmul(ops.transpose2d(d_agg), gamma)                   # N x N
     d_gamma = ops.matmul(d_agg, attn)                                    # C x N
-    d_logits = ops.softmax_backward(attn, d_attn, axis=1)
+    d_logits = ops.softmax_backward(attn, d_attn, axis=1, out=d_attn)
     d_alpha = ops.matmul(beta, ops.transpose2d(d_logits))                # chat x N
     d_beta = ops.matmul(alpha, d_logits)                                 # chat x N
     return {**_projection_backward(proj, xf, shape, g, d_alpha, d_beta, d_gamma),
@@ -232,7 +232,7 @@ def spa_stages(x: np.ndarray, m: SpaModule):
     v_pool = pyramid_pool(v_map, m.v_spec)               # C x T
     logits = ops.matmul(ops.transpose2d(k_pool), q)      # T x N
     instrument.add("map", 2 * m.proj.reduced * logits.size)
-    attn = ops.softmax(logits, axis=0)                   # anchor weights sum to 1 per position
+    attn = ops.softmax(logits, axis=0, out=logits)       # anchor weights sum to 1 per position
     instrument.add("softmax", 5 * attn.size)
     agg = ops.matmul(v_pool, attn)                       # C x N
     instrument.add("agg", 2 * c * attn.size)
@@ -247,7 +247,7 @@ def spa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     d_lam, d_agg = _gate_backward(g, agg, m.lam)
     d_vpool = ops.matmul(d_agg, ops.transpose2d(attn))   # C x T
     d_attn = ops.matmul(ops.transpose2d(v_pool), d_agg)  # T x N
-    d_logits = ops.softmax_backward(attn, d_attn, axis=0)
+    d_logits = ops.softmax_backward(attn, d_attn, axis=0, out=d_attn)
     d_kpool = ops.matmul(q, ops.transpose2d(d_logits))   # chat x T
     d_q = ops.matmul(k_pool, d_logits)                   # chat x N
     d_kmap = pyramid_pool_backward(d_kpool, m.k_spec, h, w).reshape(m.proj.reduced, h * w)

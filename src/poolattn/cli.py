@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5, help="timed repetitions (minimum 5)")
     p.add_argument("--warmup", type=_at_least(0), default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mem-limit", type=int, default=None,
+    p.add_argument("--mem-limit", type=_positive, default=None,
                    help="abort (exit 3) if the baseline map exceeds this many bytes")
     p.add_argument("--out", default=None)
 
@@ -171,6 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-proj", action="store_true")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--mem-limit", type=_positive, default=None,
+                   help="abort (exit 3) before the forward if the module's attention map "
+                        "exceeds this many bytes")
     return parser
 
 
@@ -269,7 +272,8 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         report = harness.attn_report(args.input, args.module, args.out_tensor,
                                      args.out_attn, args.seed, args.chat,
                                      parse_spec(args.spec_k), parse_spec(args.spec_v),
-                                     args.cpa_mode, args.with_proj, args.lam, args.mu)
+                                     args.cpa_mode, args.with_proj, args.lam, args.mu,
+                                     args.mem_limit)
         _emit(report, None)
         return EXIT_OK
 

@@ -7,9 +7,12 @@ train-demo report is deterministic byte-for-byte for fixed flags.
 
 from __future__ import annotations
 
+import os
+import platform
 import statistics
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +33,26 @@ def resolve_dtype(name: str):
     if name not in _DTYPES:
         raise ConfigurationError(f"dtype must be f32 or f64, got {name!r}")
     return _DTYPES[name]
+
+
+def _check_mem_limit(module_kind: str, cost: accounting.CostReport,
+                     mem_limit: int | None) -> None:
+    """Raise ResourceLimitError (exit 3) before a map larger than `mem_limit` bytes is made."""
+    if mem_limit is not None and cost.attn_map_bytes > mem_limit:
+        raise ResourceLimitError(f"{module_kind} attention map needs {cost.attn_map_bytes} "
+                                 f"bytes, above the limit {mem_limit}")
+
+
+def _environment() -> dict:
+    """What ran: Python, numpy, the BLAS numpy was built against, and the CPU count."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 only prints its configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "cpu_count": os.cpu_count()}
 
 
 def flops_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
@@ -72,9 +95,7 @@ def bench_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
     spa_cost = accounting.cost_spa(c, chat, h, w, spec_k, spec_v, dtype, spec_names=names)
     print(f"nonlocal attention map: {nb_cost.attn_map_bytes} bytes "
           f"(spa: {spa_cost.attn_map_bytes})", file=sys.stderr, flush=True)
-    if mem_limit is not None and nb_cost.attn_map_bytes > mem_limit:
-        raise ResourceLimitError(f"nonlocal attention map needs {nb_cost.attn_map_bytes} "
-                                 f"bytes, above the limit {mem_limit}")
+    _check_mem_limit("nonlocal", nb_cost, mem_limit)
 
     rng = Rng(seed)
     proj = init_projection(rng, c, chat, dtype)
@@ -106,6 +127,7 @@ def bench_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
         "flops": {"nonlocal": nb_cost.flops_total, "spa": spa_cost.flops_total},
         "repetitions": reps,
         "warmup": warmup,
+        "env": _environment(),
     }
 
 
@@ -226,34 +248,42 @@ def coverage_report(specs: list[PyramidSpec], extent: int) -> dict:
 
 def attn_report(input_path: str, module_kind: str, out_tensor: str, out_attn: str,
                 seed: int, chat: int | None, spec_k: PyramidSpec, spec_v: PyramidSpec,
-                cpa_mode: str, with_proj: bool, lam: float, mu: float) -> dict:
+                cpa_mode: str, with_proj: bool, lam: float, mu: float,
+                mem_limit: int | None = None) -> dict:
+    """Run one module on a tensor file; `mem_limit` bounds its attention map in bytes,
+    checked after the input is read and before the forward runs."""
     x = dpt.read_tensor(input_path)
     if x.ndim != 3:
         raise ConfigurationError(f"attn expects a CxHxW tensor, got shape {x.shape}")
-    c = x.shape[0]
+    c, h, w = x.shape
     rng = Rng(seed)
     dtype = x.dtype
     if module_kind == "nonlocal":
         proj = init_projection(rng, c, chat, dtype)
-        out, attn = nonlocal_forward(x, proj, lam)
+        cost = accounting.cost_nonlocal(c, proj.reduced, h, w, dtype)
+        forward = partial(nonlocal_forward, x, proj, lam)
         params = param_count(proj) + 1
         config = {"module": module_kind, "seed": seed, "chat": proj.reduced, "lam": lam}
     elif module_kind == "spa":
         proj = init_projection(rng, c, chat, dtype)
         module = SpaModule(proj, SpaMode.MIXED, spec_k, spec_v, lam)
-        out, attn = spa_forward(x, module)
+        cost = accounting.cost_spa(c, proj.reduced, h, w, spec_k, spec_v, dtype)
+        forward = partial(spa_forward, x, module)
         params = param_count(module)
         config = {"module": module_kind, "seed": seed, "chat": proj.reduced, "lam": lam,
                   "spec_k": spec_name(spec_k), "spec_v": spec_name(spec_v)}
     elif module_kind == "cpa":
         proj = init_projection(rng, c, None, dtype) if with_proj else None
         module = CpaModule(proj, CpaMode(cpa_mode), mu)
-        out, attn = cpa_forward(x, module)
+        cost = accounting.cost_cpa(c, h, w, with_proj, dtype)
+        forward = partial(cpa_forward, x, module)
         params = param_count(module)
         config = {"module": module_kind, "seed": seed, "mu": mu, "mode": cpa_mode,
                   "with_proj": with_proj}
     else:
         raise ConfigurationError(f"unknown module kind {module_kind!r}")
+    _check_mem_limit(module_kind, cost, mem_limit)
+    out, attn = forward()
     dpt.write_dpt(out_tensor, out)
     dpt.write_dpt(out_attn, attn)
     return {

@@ -2,8 +2,10 @@
 
 Arrays are the universal value carrier: rank 1-4, every dim >= 1, all
 values finite after every operation (NaN/Inf raises NonFiniteError).
-Operations are pure; the only in-place update is sgd_step, which demands
-exclusive access to its parameter arrays.
+Operations are pure, with two kinds of exception: sgd_step updates its
+parameter arrays in place and demands exclusive access to them, and
+softmax and softmax_backward write into `out` when given one, which may
+be their input, so an attention map is held once.
 
 matmul delegates to numpy's BLAS. It must stay within 1e-12 relative of
 the index-ascending reference (`tests/oracles.py` `loop_matmul`) and is
@@ -23,8 +25,9 @@ from .rng import Rng
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
 _ALLOWED = (F32, F64)
-# Elements per slice of the softmax flush: a 256 KB mask, one slice for any C x C map.
-_FLUSH_SLICE = 1 << 18
+# Entries per slice of the softmax walks: 4 MiB in f32, so each pass over a slice
+# finds it still in L2; one slice for a C x C map up to C = 1024.
+_SLICE = 1 << 20
 
 def _quiet(fn):
     """Silence numpy FP warnings inside an op; the finite check is the contract."""
@@ -72,8 +75,39 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _finite(np.matmul(a, b), "matmul")
 
 
+def _slices(shape: tuple[int, int], axis: int):
+    """Index pairs cutting a rank-2 map into whole rows (axis=1) or whole columns
+    (axis=0), at most _SLICE entries each, in order.
+
+    A slice holds at least two lines unless the map has one, and a lone last line
+    joins the slice before it: numpy sums a single line pairwise, but a block of
+    lines laid across the summed axis one entry at a time, and a slice must give
+    the bits of the whole map. So a line longer than half a slice makes a slice of
+    two or three lines.
+    """
+    if axis not in (0, 1):
+        raise DimensionError(f"softmax: axis must be 0 or 1, got {axis}")
+    count, length = shape[1 - axis], shape[axis]
+    step = max(2, _SLICE // length)
+    whole = slice(None)
+    start = 0
+    while start < count:
+        stop = count if start + step >= count - 1 else start + step
+        yield (slice(start, stop), whole) if axis == 1 else (whole, slice(start, stop))
+        start = stop
+
+
+def _out_like(a: np.ndarray, out: np.ndarray | None, op: str) -> np.ndarray:
+    if out is None:
+        return np.empty_like(a)
+    if out.shape != a.shape or out.dtype != a.dtype:
+        raise DimensionError(f"{op}: out {out.shape} {out.dtype} does not match "
+                             f"{a.shape} {a.dtype}")
+    return out
+
+
 @_quiet
-def softmax(a: np.ndarray, axis: int) -> np.ndarray:
+def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along `axis` of a rank-2 array, shifted by the max for stability.
 
     Each weight is 0 or lies in [tiny, 1], tiny = np.finfo(dtype).tiny: weights
@@ -81,25 +115,51 @@ def softmax(a: np.ndarray, axis: int) -> np.ndarray:
     times slower on subnormal operands (a peaked CPA map in f32 has dozens) and
     such a weight changes a sum by less than tiny. Only the input is checked:
     with finite input the max entry adds exp(0) = 1 to each sum.
+
+    The map is walked in slices of whole rows (axis=1) or columns (axis=0) of at
+    most 2^20 entries; check, max, subtract, exp, sum, divide and flush each run
+    on one slice while it is in cache. Each line is reduced in the order numpy
+    uses on the whole map, so the result is the same bit for bit. The weights
+    go to `out`, a new array laid out like `a` by default; `out` may be `a`
+    itself. A non-finite input raises when its slice is reached, so earlier
+    slices of `out` may already hold weights.
     """
     _rank2(a, "softmax")
-    _finite(a, "softmax input")
-    shifted = a - a.max(axis=axis, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=axis, keepdims=True)
-    tiny = np.finfo(shifted.dtype).tiny
-    flat = shifted.ravel(order="K")  # a view: `shifted` is C- or F-contiguous, as `a` lays out
-    for start in range(0, flat.size, _FLUSH_SLICE):  # bounded mask, not one map-sized
-        part = flat[start:start + _FLUSH_SLICE]
-        part[part < tiny] = 0
-    return shifted
+    out = _out_like(a, out, "softmax")
+    tiny = np.finfo(a.dtype).tiny
+    for part in _slices(a.shape, axis):
+        src, dst = a[part], out[part]
+        _finite(src, "softmax input")
+        np.subtract(src, src.max(axis=axis, keepdims=True), out=dst)
+        np.exp(dst, out=dst)
+        dst /= dst.sum(axis=axis, keepdims=True)
+        dst[dst < tiny] = 0
+    return out
 
 
 @_quiet
-def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int) -> np.ndarray:
-    """Gradient through softmax along `axis` given its output s and upstream grad."""
-    inner = (grad * s).sum(axis=axis, keepdims=True)
-    return _finite(s * (grad - inner), "softmax_backward")
+def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient through softmax along `axis` given its output s and upstream grad:
+    s * (grad - sum(grad * s)).
+
+    Walks the same slices as `softmax`, each line's sum in the whole map's
+    order, so the result is the same bit for bit. It goes to `out`, a new array
+    laid out like `grad` by default; `out` may be `grad` itself (not `s`). Each
+    slice is checked after it is written, so a non-finite result raises with
+    earlier slices of `out` already written.
+    """
+    if s.ndim != 2 or grad.shape != s.shape or grad.dtype != s.dtype:
+        raise DimensionError(f"softmax_backward: grad {grad.shape} {grad.dtype} and output "
+                             f"{s.shape} {s.dtype} must share one rank-2 shape and dtype")
+    out = _out_like(grad, out, "softmax_backward")
+    for part in _slices(s.shape, axis):
+        src, g, dst = s[part], grad[part], out[part]
+        inner = (g * src).sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=dst)
+        dst *= src
+        _finite(dst, "softmax_backward")
+    return out
 
 
 @_quiet

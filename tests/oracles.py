@@ -35,12 +35,22 @@ def loop_softmax_rows(a):
 
 
 def unflushed_softmax(a, axis):
-    """`ops.softmax` arithmetic without its subnormal flush: the same numpy calls
-    in the same order, so the two differ only where a weight is below tiny."""
+    """`ops.softmax` arithmetic on the whole map at once, without its subnormal flush.
+
+    `ops.softmax` runs the same numpy calls slice by slice and reduces each line
+    in the order used here, so the two differ only where a weight is below tiny.
+    """
     shifted = a - a.max(axis=axis, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
     return shifted
+
+
+def whole_softmax_backward(s, grad, axis):
+    """The softmax gradient on the whole map at once: what `ops.softmax_backward`
+    computes slice by slice."""
+    inner = (grad * s).sum(axis=axis, keepdims=True)
+    return s * (grad - inner)
 
 
 def loop_bin_edges(extent, n):

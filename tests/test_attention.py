@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from poolattn.attention import (CpaMode, CpaModule, ProjectionWeights, SpaMode, 
                                 nonlocal_backward, nonlocal_forward, param_count,
                                 spa_backward, spa_forward, spa_module)
 from poolattn.errors import ConfigurationError, DimensionError, PoolSizeError
-from poolattn.pooling import PAPER_EVEN, PAPER_ODD, PyramidSpec
+from poolattn.pooling import PAPER_EVEN, PAPER_ODD, PyramidSpec, anchor_count
 from poolattn.rng import Rng
 
 from oracles import loop_cpa, loop_nonlocal, unflushed_softmax
@@ -395,3 +397,32 @@ def _pool2(flat):
     m = flat.reshape(3, 4, 4)
     return np.stack([m[:, r:r + 2, c:c + 2].mean(axis=(1, 2))
                      for r in (0, 2) for c in (0, 2)], axis=1)
+
+
+@pytest.mark.parametrize("dtype", [ops.F32, ops.F64], ids=["f32", "f64"])
+def test_attention_maps_are_held_once(dtype):
+    # tracemalloc sees numpy's buffers. At 8 x 48 x 48 an N x N map (N = 2304) dwarfs
+    # every other array, so the peak counts the maps alive at once. While the softmax
+    # copied its logits these read about 2.0 (forward), 4.0 (backward) and 2.1-2.6
+    # T x N maps (SPA forward).
+    rng = Rng(3)
+    c, hw = 8, 48
+    x = rng.fill_uniform((c, hw, hw), 1.0, dtype)
+    g = rng.fill_uniform((c, hw, hw), 1.0, dtype)
+    proj = init_projection(rng, c, None, dtype)
+    spa = spa_module(proj, SpaMode.MIXED, PAPER_ODD, PAPER_EVEN, 1.0)
+    n = hw * hw
+    n_map = n * n * dtype.itemsize
+    t_map = anchor_count(PAPER_EVEN) * n * dtype.itemsize
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: nonlocal_forward(x, proj, 1.0)) < 1.5 * n_map
+    assert peak(lambda: nonlocal_backward(x, proj, 1.0, g)) < 3.5 * n_map
+    assert peak(lambda: spa_forward(x, spa)) < 2.0 * t_map

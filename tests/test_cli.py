@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,19 @@ def test_bench_small_shape(tmp_path):
     assert report["peak_attn_map_bytes"]["nonlocal"] == 256 * 256 * 4
     assert report["peak_attn_map_bytes"]["spa"] == 5 * 256 * 4
     assert "attention map" in out.stderr
+
+
+def test_bench_report_says_what_ran():
+    out = run_cli("bench", "--hw", "4", "--c", "2", "--spec-k", "1,2", "--spec-v", "1,2")
+    assert out.returncode == 0
+    report = json.loads(out.stdout)
+    validate("bench", report)
+    env = report["env"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
 
 
 def test_bench_too_few_reps_exits_2():
@@ -264,6 +278,26 @@ def test_attn_truncated_input_exits_2(tmp_path):
     assert "payload length mismatch" in out.stderr
 
 
+@pytest.mark.parametrize("module,args,nbytes", [
+    ("nonlocal", ["--chat", "2"], 16 * 16 * 8),
+    ("spa", ["--spec-k", "1,2", "--spec-v", "1,2"], 5 * 16 * 8),
+    ("cpa", [], 2 * 2 * 8),
+])
+def test_attn_memory_limit_exits_3_before_the_forward(tmp_path, module, args, nbytes):
+    src = tmp_path / "in.dpt"
+    write_dpt(src, Rng(13).fill_uniform((2, 4, 4), 1.0))
+    out_t, out_a = tmp_path / "o.dpt", tmp_path / "a.dpt"
+    common = ["attn", "--input", str(src), "--module", module, *args,
+              "--out-tensor", str(out_t), "--out-attn", str(out_a)]
+    over = run_cli(*common, "--mem-limit", str(nbytes - 1))
+    assert over.returncode == 3
+    assert f"{module} attention map needs {nbytes} bytes" in over.stderr
+    assert not out_t.exists() and not out_a.exists()
+    at_limit = run_cli(*common, "--mem-limit", str(nbytes))
+    assert at_limit.returncode == 0, at_limit.stderr
+    assert read_dpt(out_a).nbytes == nbytes
+
+
 def _bad_inputs(tmp_path):
     huge = tmp_path / "huge-dims.dpt"    # 65536^4 elements: a wrapping product would read 0
     huge.write_bytes(b"DPTENSOR" + bytes([1, 0, 4]) + (65536).to_bytes(4, "little") * 4)
@@ -333,6 +367,12 @@ def test_thread_cap_is_applied_and_reported_or_rejected(raw):
                   "--spec-v", "1,2"]),
     ("--channels", ["equivalence", "--seeds", "1", "--channels", "2,0"]),
     ("--seeds", ["equivalence", "--seeds", "0"]),
+    ("--mem-limit", ["bench", "--hw", "4", "--c", "2", "--mem-limit", "0"]),
+    ("--mem-limit", ["bench", "--hw", "4", "--c", "2", "--mem-limit", "-5"]),
+    ("--mem-limit", ["attn", "--input", "x.dpt", "--module", "cpa", "--out-tensor", "o.dpt",
+                     "--out-attn", "a.dpt", "--mem-limit", "0"]),
+    ("--mem-limit", ["attn", "--input", "x.dpt", "--module", "cpa", "--out-tensor", "o.dpt",
+                     "--out-attn", "a.dpt", "--mem-limit", "-5"]),
 ])
 def test_bad_integer_flag_exits_2(flag, args, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,8 @@ from poolattn.errors import (ConfigurationError, DimensionError, LabelError,
 from poolattn.pooling import PyramidSpec, bin_edges, pyramid_pool
 from poolattn.rng import Rng
 
-from oracles import loop_adaptive_pool, loop_matmul, loop_softmax_rows, unflushed_softmax
+from oracles import (loop_adaptive_pool, loop_matmul, loop_softmax_rows, unflushed_softmax,
+                     whole_softmax_backward)
 
 
 # --- matmul ---------------------------------------------------------------
@@ -122,16 +123,84 @@ def test_softmax_flushes_subnormal_weights_property(dtype_tol, axis, m, n, sprea
 
 
 def test_softmax_flush_reaches_every_slice_of_a_large_map():
-    # 600 x 600 > 2^18 entries, so the flush walks more than one slice.
-    a = Rng(9).fill_uniform((600, 600), 100.0, np.float32)
+    # 1100 x 1100 > 2^20 entries, so the walk takes more than one slice of lines;
+    # the last one starts at line 2^20 // 1100 = 953.
+    a = Rng(9).fill_uniform((1100, 1100), 100.0, np.float32)
     tiny = np.finfo(np.float32).tiny
     for axis in (0, 1):
         ref = unflushed_softmax(a, axis)
         subnormal = (ref > 0) & (ref < tiny)
-        assert subnormal.reshape(-1)[1 << 18:].any()
+        assert (subnormal[953:] if axis == 1 else subnormal[:, 953:]).any()
         out = ops.softmax(a, axis=axis)
         assert not np.any((out > 0) & (out < tiny))
         assert np.array_equal(out[~subnormal], ref[~subnormal])
+
+
+def _flushed_softmax(a, axis):
+    ref = unflushed_softmax(a, axis)
+    ref[ref < np.finfo(ref.dtype).tiny] = 0
+    return ref
+
+
+def _assert_walk_matches_whole_map(a, axis):
+    """softmax and softmax_backward, with and without `out`, bitwise against the whole map."""
+    grad = Rng(21).fill_uniform(a.shape, 1.0, a.dtype)
+    if a.flags.f_contiguous:
+        grad = np.asfortranarray(grad)
+    ref = _flushed_softmax(a, axis)
+    out = ops.softmax(a, axis=axis)
+    assert np.array_equal(out, ref)
+    assert out.flags.f_contiguous == ref.flags.f_contiguous
+    in_place = a.copy(order="K")
+    assert ops.softmax(in_place, axis=axis, out=in_place) is in_place
+    assert np.array_equal(in_place, ref)
+    ref_grad = whole_softmax_backward(ref, grad, axis)
+    assert np.array_equal(ops.softmax_backward(ref, grad, axis), ref_grad)
+    assert ops.softmax_backward(ref, grad, axis, out=grad) is grad
+    assert np.array_equal(grad, ref_grad)
+
+
+# Maps spanning several 2^20-entry slices along either axis: (2500, 1000) ends in a
+# ragged slice both ways; (2097, 1000) along rows and (1000, 2097) along columns leave
+# one lone last line, which joins the slice before it.
+@pytest.mark.parametrize("shape", [(2500, 1000), (2097, 1000), (1000, 2097)],
+                         ids=["2500x1000", "2097x1000", "1000x2097"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_softmax_slice_walk_matches_whole_map_bitwise(shape, dtype, order):
+    a = np.asarray(Rng(20).fill_uniform(shape, 50.0, dtype), order=order)
+    for axis in (0, 1):
+        _assert_walk_matches_whole_map(a, axis)
+
+
+def test_softmax_line_longer_than_a_slice_matches_whole_map_bitwise():
+    # Four lines of 2^20 + 3 entries: two slices of two lines, each past 2^20.
+    rows = Rng(22).fill_uniform((4, (1 << 20) + 3), 50.0, np.float32)
+    _assert_walk_matches_whole_map(rows, axis=1)
+    _assert_walk_matches_whole_map(np.ascontiguousarray(rows.T), axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.sampled_from(["C", "F"]),
+       st.integers(0, 1), st.integers(1, 40), st.integers(1, 40), st.integers(1, 200),
+       st.integers(0, 2**32 - 1))
+def test_softmax_slice_walk_property(dtype, order, axis, m, n, slice_entries, seed):
+    # Any slice size, down to slices shorter than one line, keeps the whole-map bits.
+    a = np.asarray(Rng(seed).fill_uniform((m, n), 50.0, dtype), order=order)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ops, "_SLICE", slice_entries)
+        _assert_walk_matches_whole_map(a, axis)
+
+
+def test_softmax_nan_in_the_last_slice_raises():
+    a = Rng(23).fill_uniform((2500, 1000), 1.0, np.float32)
+    a[-1, -1] = np.nan      # in the last slice of rows and of columns alike
+    for axis in (0, 1):
+        with pytest.raises(NonFiniteError, match="softmax input"):
+            ops.softmax(a, axis=axis)
+        in_place = a.copy()
+        with pytest.raises(NonFiniteError, match="softmax input"):
+            ops.softmax(in_place, axis=axis, out=in_place)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
