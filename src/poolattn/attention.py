@@ -17,6 +17,10 @@ next forward. `*_stages(x, ...)` returns `(out, attn, cache)`, and
 plus `x`, computed from the cached forward values. `*_forward` and
 `*_backward` are the one-call forms. The analytic reverse-mode derivations
 are validated against finite differences (see gradcheck).
+
+Each stage function runs inside one `np.errstate` and checks each stage output
+once (`proj`, `pool`, `map` through the softmax's input check, `agg`, the gated
+`out`, every returned gradient), raising NonFiniteError that names the stage.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 
 from . import instrument, ops
 from .errors import ConfigurationError, DimensionError
+from .ops import _check_dims, _finite, _quiet
 from .pooling import PyramidSpec, anchor_count, pyramid_pool, pyramid_pool_backward
 from .rng import Rng
 
@@ -147,22 +152,36 @@ class CpaModule:
 def _flatten(x: np.ndarray, proj: ProjectionWeights | None) -> tuple[np.ndarray, int, int, int]:
     if x.ndim != 3:
         raise DimensionError(f"attention input must be CxHxW, got shape {x.shape}")
+    _check_dims(x, "attention input")
     c, h, w = x.shape
     if proj is not None and proj.channels != c:
         raise DimensionError(f"projection expects {proj.channels} channels, input has {c}")
     return x.reshape(c, h * w), c, h, w
 
 
-def _project(w: np.ndarray, x_flat: np.ndarray) -> np.ndarray:
-    out = ops.matmul(w, x_flat)
+def _project(w: np.ndarray, x_flat: np.ndarray, name: str) -> np.ndarray:
+    out = _finite(ops.matmul(w, x_flat), f"{name} proj")
     instrument.add("proj", 2 * w.shape[0] * w.shape[1] * x_flat.shape[1])
     return out
+
+
+def _gate_forward(agg: np.ndarray, gate: np.ndarray | float, xf: np.ndarray, name: str):
+    """Check agg, then give the residual output `gate * agg + x`, checked."""
+    _finite(agg, f"{name} agg")
+    return _finite(agg * agg.dtype.type(gate) + xf, f"{name} out")
 
 
 def _gate_backward(g: np.ndarray, agg: np.ndarray,
                    gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of `gate * agg + x` wrt the gate (0-d float64) and wrt agg."""
-    return np.asarray(np.sum(g * agg), dtype=np.float64), ops.scale(g, gate)
+    return np.asarray(np.sum(g * agg), dtype=np.float64), g * g.dtype.type(gate)
+
+
+def _checked(grads: dict[str, np.ndarray], name: str) -> dict[str, np.ndarray]:
+    """The returned gradients, each checked once."""
+    for key, grad in grads.items():
+        _finite(grad, f"{name} grad {key}")
+    return grads
 
 
 def _projection_backward(proj: ProjectionWeights, xf: np.ndarray, shape: tuple[int, ...],
@@ -180,22 +199,24 @@ def _projection_backward(proj: ProjectionWeights, xf: np.ndarray, shape: tuple[i
 # --- non-local baseline -------------------------------------------------
 # Its learnables are `{**proj.params, "lam": lam}`; there is no module object.
 
+@_quiet
 def nonlocal_stages(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | float):
     """Full self-attention: (gated-residual output, N x N map, cache)."""
     xf, c, h, w = _flatten(x, proj)
-    alpha = _project(proj.w_q, xf)
-    beta = _project(proj.w_k, xf)
-    gamma = _project(proj.w_v, xf)
+    alpha = _project(proj.w_q, xf, "nonlocal")
+    beta = _project(proj.w_k, xf, "nonlocal")
+    gamma = _project(proj.w_v, xf, "nonlocal")
     logits = ops.matmul(ops.transpose2d(alpha), beta)    # N x N, row j = position j's queries
     instrument.add("map", 2 * proj.reduced * logits.size)
     attn = ops.softmax(logits, axis=1, out=logits)      # the map is held once
     instrument.add("softmax", 5 * attn.size)
     agg = ops.transpose2d(ops.matmul(attn, ops.transpose2d(gamma)))  # C x N
     instrument.add("agg", 2 * c * attn.size)
-    out = ops.add(ops.scale(agg, lam), xf).reshape(c, h, w)
+    out = _gate_forward(agg, lam, xf, "nonlocal").reshape(c, h, w)
     return out, attn, (x.shape, xf, proj, lam, alpha, beta, gamma, attn, agg)
 
 
+@_quiet
 def nonlocal_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     shape, xf, proj, lam, alpha, beta, gamma, attn, agg = cache
     g = grad_out.reshape(xf.shape)
@@ -205,8 +226,8 @@ def nonlocal_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarra
     d_logits = ops.softmax_backward(attn, d_attn, axis=1, out=d_attn)
     d_alpha = ops.matmul(beta, ops.transpose2d(d_logits))                # chat x N
     d_beta = ops.matmul(alpha, d_logits)                                 # chat x N
-    return {**_projection_backward(proj, xf, shape, g, d_alpha, d_beta, d_gamma),
-            "lam": d_lam}
+    return _checked({**_projection_backward(proj, xf, shape, g, d_alpha, d_beta, d_gamma),
+                     "lam": d_lam}, "nonlocal")
 
 
 def nonlocal_forward(x: np.ndarray, proj: ProjectionWeights,
@@ -222,12 +243,13 @@ def nonlocal_backward(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | 
 
 # --- spatial pool attention ----------------------------------------------
 
+@_quiet
 def spa_stages(x: np.ndarray, m: SpaModule):
     """Pyramid-anchored attention: (output, T x N anchor map, cache)."""
     xf, c, h, w = _flatten(x, m.proj)
-    q = _project(m.proj.w_q, xf)
-    k_map = _project(m.proj.w_k, xf).reshape(m.proj.reduced, h, w)
-    v_map = _project(m.proj.w_v, xf).reshape(c, h, w)
+    q = _project(m.proj.w_q, xf, "spa")
+    k_map = _project(m.proj.w_k, xf, "spa").reshape(m.proj.reduced, h, w)
+    v_map = _project(m.proj.w_v, xf, "spa").reshape(c, h, w)
     k_pool = pyramid_pool(k_map, m.k_spec)               # chat x T
     v_pool = pyramid_pool(v_map, m.v_spec)               # C x T
     logits = ops.matmul(ops.transpose2d(k_pool), q)      # T x N
@@ -236,10 +258,11 @@ def spa_stages(x: np.ndarray, m: SpaModule):
     instrument.add("softmax", 5 * attn.size)
     agg = ops.matmul(v_pool, attn)                       # C x N
     instrument.add("agg", 2 * c * attn.size)
-    out = ops.add(ops.scale(agg, m.lam), xf).reshape(c, h, w)
+    out = _gate_forward(agg, m.lam, xf, "spa").reshape(c, h, w)
     return out, attn, (x.shape, xf, m, q, k_pool, v_pool, attn, agg)
 
 
+@_quiet
 def spa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     shape, xf, m, q, k_pool, v_pool, attn, agg = cache
     c, h, w = shape
@@ -252,7 +275,8 @@ def spa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     d_q = ops.matmul(k_pool, d_logits)                   # chat x N
     d_kmap = pyramid_pool_backward(d_kpool, m.k_spec, h, w).reshape(m.proj.reduced, h * w)
     d_vmap = pyramid_pool_backward(d_vpool, m.v_spec, h, w).reshape(c, h * w)
-    return {**_projection_backward(m.proj, xf, shape, g, d_q, d_kmap, d_vmap), "lam": d_lam}
+    return _checked({**_projection_backward(m.proj, xf, shape, g, d_q, d_kmap, d_vmap),
+                     "lam": d_lam}, "spa")
 
 
 def spa_forward(x: np.ndarray, m: SpaModule) -> tuple[np.ndarray, np.ndarray]:
@@ -266,16 +290,17 @@ def spa_backward(x: np.ndarray, m: SpaModule, grad_out: np.ndarray) -> dict[str,
 
 # --- channel pool attention ----------------------------------------------
 
+@_quiet
 def cpa_stages(x: np.ndarray, m: CpaModule):
     """Channel reweighting through the max-difference affinity: (output, C x C map, cache)."""
     xf, c, h, w = _flatten(x, m.proj)
     if m.proj is None:
         q = k = v = xf
     else:
-        q = _project(m.proj.w_q, xf)
-        k = _project(m.proj.w_k, xf)
-        v = _project(m.proj.w_v, xf)
-    d = ops.matmul(q, ops.transpose2d(k))                # C x C channel similarity
+        q = _project(m.proj.w_q, xf, "cpa")
+        k = _project(m.proj.w_k, xf, "cpa")
+        v = _project(m.proj.w_v, xf, "cpa")
+    d = _finite(ops.matmul(q, ops.transpose2d(k)), "cpa map")   # C x C channel similarity
     instrument.add("map", 2 * q.shape[1] * d.size)
     diff = ops.max_over_rows(d) - d                      # column max broadcast over rows, >= 0
     instrument.add("maxdiff", 2 * d.size)
@@ -284,10 +309,11 @@ def cpa_stages(x: np.ndarray, m: CpaModule):
     instrument.add("softmax", 5 * attn.size)
     agg = ops.matmul(attn, v)                            # C x N
     instrument.add("agg", 2 * v.shape[1] * attn.size)
-    out = ops.add(ops.scale(agg, m.mu), xf).reshape(c, h, w)
+    out = _gate_forward(agg, m.mu, xf, "cpa").reshape(c, h, w)
     return out, attn, (x.shape, xf, m, q, k, v, d, diff, attn, agg)
 
 
+@_quiet
 def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     shape, xf, m, q, k, v, d, diff, attn, agg = cache
     g = grad_out.reshape(xf.shape)
@@ -302,9 +328,9 @@ def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     d_d[argmax_rows, np.arange(d.shape[1])] += d_diff.sum(axis=0)
     d_q = ops.matmul(d_d, k)                             # C x N
     d_k = ops.matmul(ops.transpose2d(d_d), q)            # C x N
-    if m.proj is None:
-        return {"mu": d_mu, "x": (g + d_q + d_k + d_v).reshape(shape)}
-    return {"mu": d_mu, **_projection_backward(m.proj, xf, shape, g, d_q, d_k, d_v)}
+    grads = ({"x": (g + d_q + d_k + d_v).reshape(shape)} if m.proj is None
+             else _projection_backward(m.proj, xf, shape, g, d_q, d_k, d_v))
+    return _checked({"mu": d_mu, **grads}, "cpa")
 
 
 def cpa_forward(x: np.ndarray, m: CpaModule) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_stages,
                         cpa_stages_backward, init_projection, spa_module, spa_stages,
                         spa_stages_backward)
 from .errors import ConfigurationError, NonFiniteError, TrainingDivergenceError
+from .ops import _finite, _quiet
 from .pooling import TOY_EVEN_MATCHED, TOY_ODD, TOY_ODD_MATCHED, PyramidSpec
 from .rng import Rng
 
@@ -83,19 +84,21 @@ def build_model(seed: int, channels: int = 16, classes: int = 2,
     return DpaNetMini(stem_w1, stem_w2, spa, cpa, fuse_w)
 
 
+@_quiet
 def stages(model: DpaNetMini, image: np.ndarray):
-    """The forward pass: (logits, cache for stages_backward)."""
-    pre1 = ops.conv2d_same(image, model.stem_w1)
-    f1 = ops.relu(pre1)
-    pre2 = ops.conv2d_same(f1, model.stem_w2)
-    feats = ops.relu(pre2)
+    """The forward pass: (logits, cache for stages_backward); the branches check their own."""
+    pre1 = _finite(ops.conv2d_same(image, model.stem_w1), "network stem conv1")
+    f1 = np.maximum(pre1, pre1.dtype.type(0))
+    pre2 = _finite(ops.conv2d_same(f1, model.stem_w2), "network stem conv2")
+    feats = np.maximum(pre2, pre2.dtype.type(0))
     spa_out, _, spa_cache = spa_stages(feats, model.spa)
     cpa_out, _, cpa_cache = cpa_stages(feats, model.cpa)
-    cat = ops.concat_channels(spa_out, cpa_out)
-    logits = ops.conv1x1(cat, model.fuse_w)
+    cat = np.concatenate([spa_out, cpa_out], axis=0)
+    logits = _finite(ops.conv1x1(cat, model.fuse_w), "network logits")
     return logits, (model, image, pre1, f1, pre2, cat, spa_cache, cpa_cache)
 
 
+@_quiet
 def stages_backward(cache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a logits-contracted loss, keyed like `model.params` plus `image`."""
     model, image, pre1, f1, pre2, cat, spa_cache, cpa_cache = cache
@@ -109,6 +112,8 @@ def stages_backward(cache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     d_pre2 = (sg.pop("x") + cg.pop("x")) * (pre2 > 0)
     d_f1, d_w2 = ops.conv2d_same_backward(f1, model.stem_w2, d_pre2)
     d_img, d_w1 = ops.conv2d_same_backward(image, model.stem_w1, d_f1 * (pre1 > 0))
+    for key, grad in (("stem_w1", d_w1), ("stem_w2", d_w2), ("fuse_w", d_fuse), ("image", d_img)):
+        _finite(grad, f"network grad {key}")
     return {**_net_keys(d_w1, d_w2, sg, cg, d_fuse), "image": d_img}
 
 

@@ -1,11 +1,17 @@
 """Dense numeric primitives on row-major float32/float64 numpy arrays.
 
-Arrays are the universal value carrier: rank 1-4, every dim >= 1, all
-values finite after every operation (NaN/Inf raises NonFiniteError).
-Operations are pure, with two kinds of exception: sgd_step updates its
-parameter arrays in place and demands exclusive access to them, and
-softmax and softmax_backward write into `out` when given one, which may
-be their input, so an attention map is held once.
+Arrays are the universal value carrier: rank 1-4, every dim >= 1. Operations
+are pure, with two kinds of exception: sgd_step updates its parameter arrays
+in place and demands exclusive access to them, and softmax and
+softmax_backward write into `out` when given one, which may be their input,
+so an attention map is held once.
+
+Finiteness is checked once per stage output, not once per primitive: the
+primitives check their operands, not their results, and enter no np.errstate;
+each stage of `attention`, `network` and `pooling` runs inside one (`_quiet`)
+and checks each output once. softmax's input check is the attention map's, and
+cross_entropy_logits and sgd_step are training's loss and update stages. So a
+public entry point still raises NonFiniteError on NaN/Inf anywhere.
 
 matmul delegates to numpy's BLAS. It must stay within 1e-12 relative of
 the index-ascending reference (`tests/oracles.py` `loop_matmul`) and is
@@ -30,11 +36,11 @@ _ALLOWED = (F32, F64)
 _SLICE = 1 << 20
 
 def _quiet(fn):
-    """Silence numpy FP warnings inside an op; the finite check is the contract."""
+    """Run a stage inside one np.errstate silencing FP warnings; finiteness is checked
+    once per stage output, so a public entry point still raises on NaN/Inf anywhere."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore",
-                         under="ignore"):
+        with np.errstate(all="ignore"):
             return fn(*args, **kwargs)
     return wrapper
 
@@ -44,7 +50,7 @@ def _check_dims(a: np.ndarray, op: str) -> None:
         raise DimensionError(f"{op}: dtype {a.dtype} is not float32/float64")
     if not 1 <= a.ndim <= 4:
         raise DimensionError(f"{op}: rank {a.ndim} outside 1..4 (shape {a.shape})")
-    if any(d < 1 for d in a.shape):
+    if 0 in a.shape:
         raise DimensionError(f"{op}: every dim must be >= 1, got shape {a.shape}")
 
 
@@ -54,25 +60,22 @@ def _finite(a: np.ndarray, op: str) -> np.ndarray:
     return a
 
 
-def _same_dtype(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.dtype != b.dtype:
-        raise DimensionError(f"{op}: mixed dtypes {a.dtype} vs {b.dtype}")
-
-
 def _rank2(a: np.ndarray, op: str) -> None:
-    _check_dims(a, op)
-    if a.ndim != 2:
+    """A rank-2 float32/float64 operand, every dim >= 1; _check_dims names the fault."""
+    if a.ndim != 2 or 0 in a.shape or a.dtype not in _ALLOWED:
+        _check_dims(a, op)
         raise DimensionError(f"{op}: expected rank-2, got shape {a.shape}")
 
 
-@_quiet
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through numpy's BLAS; the product is left for its stage to check."""
     _rank2(a, "matmul")
     _rank2(b, "matmul")
-    _same_dtype(a, b, "matmul")
+    if a.dtype != b.dtype:
+        raise DimensionError(f"matmul: mixed dtypes {a.dtype} vs {b.dtype}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return _finite(np.matmul(a, b), "matmul")
+    return np.matmul(a, b)
 
 
 def _slices(shape: tuple[int, int], axis: int):
@@ -106,7 +109,6 @@ def _out_like(a: np.ndarray, out: np.ndarray | None, op: str) -> np.ndarray:
     return out
 
 
-@_quiet
 def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along `axis` of a rank-2 array, shifted by the max for stability.
 
@@ -137,7 +139,6 @@ def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-@_quiet
 def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Gradient through softmax along `axis` given its output s and upstream grad:
@@ -145,9 +146,8 @@ def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int,
 
     Walks the same slices as `softmax`, each line's sum in the whole map's
     order, so the result is the same bit for bit. It goes to `out`, a new array
-    laid out like `grad` by default; `out` may be `grad` itself (not `s`). Each
-    slice is checked after it is written, so a non-finite result raises with
-    earlier slices of `out` already written.
+    laid out like `grad` by default; `out` may be `grad` itself (not `s`). The
+    result is not checked: it flows into the gradients its stage checks.
     """
     if s.ndim != 2 or grad.shape != s.shape or grad.dtype != s.dtype:
         raise DimensionError(f"softmax_backward: grad {grad.shape} {grad.dtype} and output "
@@ -158,11 +158,9 @@ def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int,
         inner = (g * src).sum(axis=axis, keepdims=True)
         np.subtract(g, inner, out=dst)
         dst *= src
-        _finite(dst, "softmax_backward")
     return out
 
 
-@_quiet
 def conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-pixel channel mixing: w (C_out x C_in) applied to x (C_in x H x W), no bias."""
     _check_dims(x, "conv1x1")
@@ -176,7 +174,6 @@ def conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(w.shape[0], h, wd)
 
 
-@_quiet
 def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stride-1 zero-padded convolution preserving spatial size; kernel must be odd."""
     _check_dims(x, "conv2d_same")
@@ -193,16 +190,16 @@ def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     pad = (k - 1) // 2
     xp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
     xp[:, pad : pad + h, pad : pad + wd] = x
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))   # k x k x C_out x C_in
     out = np.zeros((c_out, h, wd), dtype=x.dtype)
     flat = out.reshape(c_out, h * wd)
     for di in range(k):
         for dj in range(k):
             window = xp[:, di : di + h, dj : dj + wd].reshape(c, h * wd)
-            flat += np.matmul(np.ascontiguousarray(w[:, :, di, dj]), window)
-    return _finite(out, "conv2d_same")
+            flat += np.matmul(taps[di, dj], window)
+    return out
 
 
-@_quiet
 def conv2d_same_backward(x: np.ndarray, w: np.ndarray,
                          grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of conv2d_same wrt input and weights."""
@@ -212,6 +209,7 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray,
     xp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
     xp[:, pad : pad + h, pad : pad + wd] = x
     gflat = grad_out.reshape(c_out, h * wd)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))   # k x k x C_out x C_in
     grad_w = np.zeros_like(w)
     grad_xp = np.zeros_like(xp)
     for di in range(k):
@@ -219,18 +217,14 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray,
             window = xp[:, di : di + h, dj : dj + wd].reshape(c, h * wd)
             grad_w[:, :, di, dj] = np.matmul(gflat, window.T)
             grad_xp[:, di : di + h, dj : dj + wd] += np.matmul(
-                np.ascontiguousarray(w[:, :, di, dj]).T, gflat
-            ).reshape(c, h, wd)
-    grad_x = grad_xp[:, pad : pad + h, pad : pad + wd]
-    return _finite(np.ascontiguousarray(grad_x), "conv2d_same_backward x"), \
-        _finite(grad_w, "conv2d_same_backward w")
+                taps[di, dj].T, gflat).reshape(c, h, wd)
+    return np.ascontiguousarray(grad_xp[:, pad : pad + h, pad : pad + wd]), grad_w
 
 
-@_quiet
 def max_over_rows(a: np.ndarray) -> np.ndarray:
     """Column-wise maxima as a 1 x n row."""
     _rank2(a, "max_over_rows")
-    return _finite(a.max(axis=0, keepdims=True), "max_over_rows")
+    return a.max(axis=0, keepdims=True)
 
 
 @_quiet
@@ -278,36 +272,9 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float,
         _finite(p, "sgd_step")
 
 
-# Elementwise and layout plumbing. All pure, all finite-checked.
-
-@_quiet
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_dtype(a, b, "add")
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
-    return _finite(a + b, "add")
-
-
-@_quiet
-def scale(a: np.ndarray, s: float) -> np.ndarray:
-    return _finite(a * a.dtype.type(s), "scale")
-
-
-@_quiet
-def relu(a: np.ndarray) -> np.ndarray:
-    return _finite(np.maximum(a, a.dtype.type(0)), "relu")
-
-
 def transpose2d(a: np.ndarray) -> np.ndarray:
     _rank2(a, "transpose2d")
     return np.ascontiguousarray(a.T)
-
-
-def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_dtype(a, b, "concat_channels")
-    if a.ndim != 3 or b.ndim != 3 or a.shape[1:] != b.shape[1:]:
-        raise DimensionError(f"concat_channels: shapes {a.shape} and {b.shape} do not stack")
-    return np.concatenate([a, b], axis=0)
 
 
 def init_weight(rng: Rng, shape: tuple[int, ...], fan_in: int,

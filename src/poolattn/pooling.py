@@ -116,6 +116,7 @@ def pyramid_pool(x: np.ndarray, spec: PyramidSpec) -> np.ndarray:
     """Pool x (C x H x W) to C x T: levels in spec order, each flattened row-major.
 
     Each anchor is the pairwise sum of its bin's pixels, read row-major, over its area.
+    The one-bin level's pixels are a whole row of `xf`, so it is summed without a gather.
     """
     _check_dims(x, "pyramid_pool")
     if x.ndim != 3:
@@ -124,11 +125,13 @@ def pyramid_pool(x: np.ndarray, spec: PyramidSpec) -> np.ndarray:
     xf = x.reshape(c, h * w)
     out = np.empty((c, anchor_count(spec)), dtype=x.dtype)
     for area, anchors, pixels in _pool_plan(spec.sizes, h, w):
-        out[:, anchors] = np.take(xf, pixels, axis=1).sum(axis=2) / area
+        block = xf[:, None, :] if area == h * w else np.take(xf, pixels, axis=1)
+        out[:, anchors] = block.sum(axis=2) / area
     instrument.add("pool", c * h * w * len(spec.sizes))
     return _finite(out, "pyramid_pool")
 
 
+@_quiet
 def pyramid_pool_backward(grad: np.ndarray, spec: PyramidSpec, height: int,
                           width: int) -> np.ndarray:
     """Adjoint of pyramid_pool: spread each anchor's gradient uniformly over its bin.
@@ -139,7 +142,6 @@ def pyramid_pool_backward(grad: np.ndarray, spec: PyramidSpec, height: int,
     _check_dims(grad, "pyramid_pool_backward")
     if grad.ndim != 2:
         raise DimensionError(f"pyramid_pool_backward: grad must be CxT, got shape {grad.shape}")
-    _finite(grad, "pyramid_pool_backward input")
     c, t = grad.shape
     if t != anchor_count(spec):
         raise DimensionError(f"pyramid_pool_backward: grad has {t} anchors, "
@@ -152,7 +154,7 @@ def pyramid_pool_backward(grad: np.ndarray, spec: PyramidSpec, height: int,
         rows, cols = np.diff(bin_edges(height, n)), np.diff(bin_edges(width, n))
         area = np.outer(rows, cols).astype(grad.dtype)
         out += (block / area).repeat(rows, axis=1).repeat(cols, axis=2)
-    return out
+    return _finite(out, "pyramid_pool_backward")
 
 
 def boundary_histogram(spec: PyramidSpec, extent: int) -> list[tuple[int, int]]:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -8,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from referencing import Registry, Resource
 
 import poolattn
@@ -321,6 +325,58 @@ def test_attn_bad_input_exits_2(tmp_path, case):
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and str(src) in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _attn_on_bytes(tmp_dir, raw: bytes) -> tuple[int, str]:
+    """`poolattn attn` in process on a file holding `raw`: (exit code, stderr)."""
+    src = tmp_dir / "fuzz.dpt"
+    src.write_bytes(raw)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["attn", "--input", str(src), "--module", "spa", "--spec-k", "1",
+                         "--spec-v", "1", "--out-tensor", str(tmp_dir / "o.dpt"),
+                         "--out-attn", str(tmp_dir / "a.dpt")])
+    return code, err.getvalue()
+
+
+def _valid_dpt(tmp_dir, dtype) -> bytes:
+    path = tmp_dir / "valid.dpt"
+    write_dpt(path, Rng(3).fill_uniform((2, 3, 3), 1.0, dtype))
+    return path.read_bytes()
+
+
+def _assert_rejected(code, err):
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.data())
+def test_attn_reader_fuzz_truncated_and_header_bit_flips(tmp_path_factory, dtype, data):
+    # Every strict prefix of a valid file, and every one-bit flip in its 23-byte header
+    # (magic, version, dtype, rank, three dims), is a bad file: exit 2, no traceback.
+    tmp_dir = tmp_path_factory.getbasetemp()
+    raw = _valid_dpt(tmp_dir, dtype)
+    assert _attn_on_bytes(tmp_dir, raw)[0] == 0
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    _assert_rejected(*_attn_on_bytes(tmp_dir, raw[:cut]))
+    bit = data.draw(st.integers(0, 8 * (11 + 4 * 3) - 1), label="bit")
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    _assert_rejected(*_attn_on_bytes(tmp_dir, bytes(flipped)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0, 1]), st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=4),
+       st.integers(0, 64))
+def test_attn_reader_fuzz_oversized_header(tmp_path_factory, code, dims, payload):
+    # A header whose dims claim more (or other) values than the payload holds, up to
+    # (2^32 - 1)^4 of them, is rejected before anything that large is allocated.
+    itemsize = 4 if code == 0 else 8
+    assume(math.prod(dims) * itemsize != payload)
+    raw = (b"DPTENSOR" + bytes([1, code, len(dims)])
+           + b"".join(d.to_bytes(4, "little") for d in dims) + bytes(payload))
+    _assert_rejected(*_attn_on_bytes(tmp_path_factory.getbasetemp(), raw))
 
 
 def test_invalid_thread_cap_exits_2():

@@ -3,6 +3,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poolattn.dpt import MAGIC, read_dpt, read_tensor, write_dpt
 from poolattn.errors import DptFormatError
@@ -19,6 +21,23 @@ def test_round_trip_bitwise(tmp_path, dtype, shape):
     assert back.dtype == arr.dtype
     assert back.shape == arr.shape
     assert back.tobytes() == arr.tobytes()
+
+
+def _finite_arrays(dtype):
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=4, max_side=5),
+                      elements=st.floats(allow_nan=False, allow_infinity=False,
+                                         width=8 * np.dtype(dtype).itemsize))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]).flatmap(_finite_arrays))
+def test_round_trip_property(tmp_path_factory, arr):
+    # Any finite f32/f64 tensor of rank 1-4, subnormals, -0.0 and extremes included.
+    path = tmp_path_factory.getbasetemp() / "round-trip.dpt"
+    write_dpt(path, arr)
+    back = read_tensor(path)
+    assert back.dtype == arr.dtype
+    assert np.array_equal(back, arr) and back.tobytes() == arr.tobytes()
 
 
 def test_truncated_payload(tmp_path):

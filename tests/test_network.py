@@ -55,8 +55,8 @@ def test_forward_gate_closed_reduces_to_fused_stem():
     image = synth_dataset(5, 1, 16)[0].image
     logits = forward(model, image)
     pre1 = ops.conv2d_same(image, model.stem_w1)
-    feats = ops.relu(ops.conv2d_same(ops.relu(pre1), model.stem_w2))
-    expected = ops.conv1x1(ops.concat_channels(feats, feats), model.fuse_w)
+    feats = np.maximum(ops.conv2d_same(np.maximum(pre1, 0.0), model.stem_w2), 0.0)
+    expected = ops.conv1x1(np.concatenate([feats, feats], axis=0), model.fuse_w)
     assert np.array_equal(logits, expected)
 
 

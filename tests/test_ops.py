@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolattn import ops
+from poolattn.attention import (CpaMode, CpaModule, SpaMode, cpa_forward, init_projection,
+                                spa_forward, spa_module)
 from poolattn.errors import (ConfigurationError, DimensionError, LabelError,
                              NonFiniteError, PoolSizeError)
 from poolattn.pooling import PyramidSpec, bin_edges, pyramid_pool
@@ -425,30 +427,18 @@ def test_transpose_round_trip_bitwise():
     assert np.array_equal(ops.transpose2d(ops.transpose2d(a)), a)
 
 
-def test_elementwise_basics():
-    a = np.array([1.0, -2.0])
-    b = np.array([0.5, 0.5])
-    assert np.array_equal(ops.add(a, b), [1.5, -1.5])
-    assert np.array_equal(ops.scale(a, 2.0), [2.0, -4.0])
-    assert np.array_equal(ops.relu(a), [1.0, 0.0])
-
-
-def test_add_shape_mismatch():
-    with pytest.raises(DimensionError):
-        ops.add(np.ones(2), np.ones(3))
-
-
-def test_concat_channels():
-    a = np.ones((2, 3, 3))
-    b = np.zeros((1, 3, 3))
-    out = ops.concat_channels(a, b)
-    assert out.shape == (3, 3, 3)
-    assert np.array_equal(out[:2], a) and np.array_equal(out[2:], b)
-    with pytest.raises(DimensionError):
-        ops.concat_channels(a, np.zeros((1, 2, 3)))
-
-
 def test_nonfinite_result_is_internal_error():
-    with pytest.raises(NonFiniteError):
-        ops.scale(np.array([1e308]), 10.0)
-
+    # Each stage output is checked once, and the error names the stage: an f64 input
+    # at 1e200 overflows the T x N map, whose check is the softmax's input check; a
+    # wide-open gate overflows the residual output.
+    rng = Rng(24)
+    x = rng.fill_uniform((3, 6, 6), 1.0)
+    m = spa_module(init_projection(rng, 3), SpaMode.ONLY_ODD, odd_spec=PyramidSpec((1, 3)),
+                   lam=1.0)
+    with pytest.raises(NonFiniteError, match="softmax input"):
+        spa_forward(x * 1e200, m)
+    m.lam[...] = 1e300
+    with pytest.raises(NonFiniteError, match="spa out"):
+        spa_forward(x * 1e150, m)
+    with pytest.raises(NonFiniteError, match="cpa map"):
+        cpa_forward(x * 1e200, CpaModule(None, CpaMode.SUBTRACT, 1.0))

@@ -3,9 +3,10 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolattn import attention, network, ops
+from poolattn import attention, gradcheck, network, ops, pooling
 from poolattn.attention import (CpaMode, CpaModule, SpaMode, cpa_backward, cpa_forward,
                                 init_projection, nonlocal_backward, nonlocal_forward,
                                 spa_backward, spa_forward, spa_module)
@@ -115,3 +116,41 @@ def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
     assert calls["conv2d_same"] == 2 * batch
     assert calls["pyramid_pool"] == 2 * batch
     assert calls["max_over_rows"] == batch
+
+
+@pytest.mark.parametrize("label, case, call, counts", [
+    ("spa_forward", "spa-onlyodd-c4-6x6", "forward", (3, 3, 8)),
+    ("spa_backward", "spa-onlyodd-c4-6x6", "backward", (6, 5, 15)),
+    ("cpa_forward", "cpa-subtract-plain-c4-5x5", "forward", (1, 1, 4)),
+    ("network.forward", "network-16ch-8x8", "forward", (5, 9, 15)),
+])
+def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, call, counts):
+    """(np.errstate entries, _check_dims calls, _finite calls) for one call at a manifest shape.
+
+    A stage enters one errstate, validates its input once and checks each output once.
+    While every primitive did all three for itself these read 10/14/10, 22/43/24, 6/7/6
+    and 22/29/21, so a per-primitive check that comes back shows here.
+    """
+    seen = Counter()
+
+    class CountingErrstate(np.errstate):
+        def __enter__(self):
+            seen["errstate"] += 1
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", CountingErrstate)
+    for name in ("_check_dims", "_finite"):
+        real = getattr(ops, name)
+
+        def counted(*args, _real=real, _name=name):
+            seen[_name] += 1
+            return _real(*args)
+
+        for module in (ops, pooling, attention, network):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    kind, config = next((k, c) for n, k, c in gradcheck.MANIFEST if n == case)
+    _, forward, backward, out_shape = gradcheck._CASES[kind](config, Rng(0), 0)
+    grad = Rng(1).fill_uniform(out_shape, 1.0)
+    forward() if call == "forward" else backward(grad)
+    assert (seen["errstate"], seen["_check_dims"], seen["_finite"]) == counts, label
