@@ -4,8 +4,13 @@ FLOP convention (shared with the instrumented counters): a multiply-
 accumulate is 2 FLOPs; exp, div, max, and sub are 1 each; a softmax over
 n entries costs 5n (max, sub, exp, sum, div); adaptive pooling costs one
 add per input element per level, with the per-bin mean divisions excluded
-as O(T) noise. Absolute numbers are convention-dependent; the ratios
-(N/T core reduction, zero added parameters, attention-map bytes) are not.
+as O(T) noise. Each report counts what the forward runs: SPA pools its
+C-channel input before the key and value projections (once when the two
+pyramids match), so its projections cost 2*N*chat*C + 2*T*(chat*C + C^2).
+The paper's order, projecting every position first, costs what the
+non-local report's `flops_proj` holds. Absolute numbers are
+convention-dependent; the ratios (N/T core reduction, zero added
+parameters, attention-map bytes) are not.
 """
 
 from __future__ import annotations
@@ -93,6 +98,8 @@ def cost_spa(c: int, chat: int, h: int, w: int, k_spec: PyramidSpec, v_spec: Pyr
              dtype=np.float32, spec_names: tuple[str, str] | None = None) -> CostReport:
     """T-anchor attention: every core term of the baseline with one N replaced by T.
 
+    The queries are projected at all N positions, the keys and values at the T
+    pooled anchors; the input is pooled on each pyramid, once when they match.
     Pure arithmetic: shapes too small for the pyramids are allowed here so
     degenerate ratios can still be reported (the forward pass itself rejects them).
     """
@@ -107,8 +114,8 @@ def cost_spa(c: int, chat: int, h: int, w: int, k_spec: PyramidSpec, v_spec: Pyr
     fagg = 2 * c * n * t
     return CostReport(
         params=2 * chat * c + c * c + 1,     # pooling adds zero learnables
-        flops_proj=2 * n * (2 * chat * c + c * c),
-        flops_pool=n * (len(k_spec.sizes) * chat + len(v_spec.sizes) * c),
+        flops_proj=2 * n * chat * c + 2 * t * (chat * c + c * c),
+        flops_pool=n * c * sum(len(spec.sizes) for spec in {k_spec, v_spec}),
         attn_map_bytes=t * n * dtype_size(dtype),
         shape=(c, chat, h, w),
         flops_map=fmap, flops_softmax=fsoft, flops_agg=fagg,

@@ -5,6 +5,10 @@
 * spatial pool attention (SPA): keys and values are pyramid-pooled to T
   anchors, so the map is T x N and cost drops by N/T; a scalar gate
   (initialized to 0) scales the aggregated context before the residual.
+  Pooling is linear and the 1x1 projections have no bias, so
+  `W_k·pool(X) = pool(W_k·X)`: SPA pools the input first (once when keys and
+  values share a pyramid) and projects keys and values over T anchors, not
+  N positions; only the queries are projected at every position.
 * channel pool attention (CPA): a C x C channel affinity is rebuilt from
   the max-minus-similarity difference (plain or squared) and reweights
   channels through a second zero-initialized gate.
@@ -15,8 +19,10 @@ as a 0-d float64 array), so a write into `params[k]` in place changes the
 next forward. `*_stages(x, ...)` returns `(out, attn, cache)`, and
 `*_stages_backward(cache, grad_out)` returns gradients keyed like `params`
 plus `x`, computed from the cached forward values. `*_forward` and
-`*_backward` are the one-call forms. The analytic reverse-mode derivations
-are validated against finite differences (see gradcheck).
+`*_backward` are the one-call forms. A `grad_out` whose shape is not the
+output's raises DimensionError. The analytic reverse-mode derivations are
+validated against finite differences (see gradcheck). Transposed operands
+reach `ops.matmul` as views, which BLAS reads in place, not as copies.
 
 Each stage function runs inside one `np.errstate` and checks each stage output
 once (`proj`, `pool`, `map` through the softmax's input check, `agg`, the gated
@@ -171,6 +177,14 @@ def _gate_forward(agg: np.ndarray, gate: np.ndarray | float, xf: np.ndarray, nam
     return _finite(agg * agg.dtype.type(gate) + xf, f"{name} out")
 
 
+def _upstream(grad_out: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """grad_out as a channels x positions matrix, once its shape is the output's."""
+    if grad_out.shape != shape:
+        raise DimensionError(f"{name} backward: grad_out has shape {grad_out.shape}, "
+                             f"the output {shape}")
+    return grad_out.reshape(shape[0], -1)
+
+
 def _gate_backward(g: np.ndarray, agg: np.ndarray,
                    gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of `gate * agg + x` wrt the gate (0-d float64) and wrt agg."""
@@ -188,12 +202,10 @@ def _projection_backward(proj: ProjectionWeights, xf: np.ndarray, shape: tuple[i
                          g: np.ndarray, d_q: np.ndarray, d_k: np.ndarray,
                          d_v: np.ndarray) -> dict[str, np.ndarray]:
     """Weight gradients of the three 1x1 projections, and `x` with the residual g added."""
-    xt = ops.transpose2d(xf)
-    d_x = (g + ops.matmul(ops.transpose2d(proj.w_q), d_q)
-           + ops.matmul(ops.transpose2d(proj.w_k), d_k)
-           + ops.matmul(ops.transpose2d(proj.w_v), d_v))
-    return {"w_q": ops.matmul(d_q, xt), "w_k": ops.matmul(d_k, xt),
-            "w_v": ops.matmul(d_v, xt), "x": d_x.reshape(shape)}
+    d_x = (g + ops.matmul(proj.w_q.T, d_q) + ops.matmul(proj.w_k.T, d_k)
+           + ops.matmul(proj.w_v.T, d_v))
+    return {"w_q": ops.matmul(d_q, xf.T), "w_k": ops.matmul(d_k, xf.T),
+            "w_v": ops.matmul(d_v, xf.T), "x": d_x.reshape(shape)}
 
 
 # --- non-local baseline -------------------------------------------------
@@ -206,11 +218,11 @@ def nonlocal_stages(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | fl
     alpha = _project(proj.w_q, xf, "nonlocal")
     beta = _project(proj.w_k, xf, "nonlocal")
     gamma = _project(proj.w_v, xf, "nonlocal")
-    logits = ops.matmul(ops.transpose2d(alpha), beta)    # N x N, row j = position j's queries
+    logits = ops.matmul(alpha.T, beta)                  # N x N, row j = position j's queries
     instrument.add("map", 2 * proj.reduced * logits.size)
     attn = ops.softmax(logits, axis=1, out=logits)      # the map is held once
     instrument.add("softmax", 5 * attn.size)
-    agg = ops.transpose2d(ops.matmul(attn, ops.transpose2d(gamma)))  # C x N
+    agg = ops.matmul(attn, gamma.T).T                   # C x N, a view of the N x C product
     instrument.add("agg", 2 * c * attn.size)
     out = _gate_forward(agg, lam, xf, "nonlocal").reshape(c, h, w)
     return out, attn, (x.shape, xf, proj, lam, alpha, beta, gamma, attn, agg)
@@ -219,13 +231,13 @@ def nonlocal_stages(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | fl
 @_quiet
 def nonlocal_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     shape, xf, proj, lam, alpha, beta, gamma, attn, agg = cache
-    g = grad_out.reshape(xf.shape)
+    g = _upstream(grad_out, shape, "nonlocal")
     d_lam, d_agg = _gate_backward(g, agg, lam)
-    d_attn = ops.matmul(ops.transpose2d(d_agg), gamma)                   # N x N
-    d_gamma = ops.matmul(d_agg, attn)                                    # C x N
+    d_attn = ops.matmul(d_agg.T, gamma)                  # N x N
+    d_gamma = ops.matmul(d_agg, attn)                    # C x N
     d_logits = ops.softmax_backward(attn, d_attn, axis=1, out=d_attn)
-    d_alpha = ops.matmul(beta, ops.transpose2d(d_logits))                # chat x N
-    d_beta = ops.matmul(alpha, d_logits)                                 # chat x N
+    d_alpha = ops.matmul(beta, d_logits.T)               # chat x N
+    d_beta = ops.matmul(alpha, d_logits)                 # chat x N
     return _checked({**_projection_backward(proj, xf, shape, g, d_alpha, d_beta, d_gamma),
                      "lam": d_lam}, "nonlocal")
 
@@ -245,37 +257,48 @@ def nonlocal_backward(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | 
 
 @_quiet
 def spa_stages(x: np.ndarray, m: SpaModule):
-    """Pyramid-anchored attention: (output, T x N anchor map, cache)."""
+    """Pyramid-anchored attention: (output, T x N anchor map, cache).
+
+    The input is pooled before the bias-free key and value projections, so they
+    run over T anchors, not N positions; one pool serves both when the specs match.
+    """
     xf, c, h, w = _flatten(x, m.proj)
-    q = _project(m.proj.w_q, xf, "spa")
-    k_map = _project(m.proj.w_k, xf, "spa").reshape(m.proj.reduced, h, w)
-    v_map = _project(m.proj.w_v, xf, "spa").reshape(c, h, w)
-    k_pool = pyramid_pool(k_map, m.k_spec)               # chat x T
-    v_pool = pyramid_pool(v_map, m.v_spec)               # C x T
-    logits = ops.matmul(ops.transpose2d(k_pool), q)      # T x N
+    x_k = pyramid_pool(x, m.k_spec)                      # C x T
+    x_v = x_k if m.v_spec == m.k_spec else pyramid_pool(x, m.v_spec)
+    q = _project(m.proj.w_q, xf, "spa")                  # chat x N
+    k_pool = _project(m.proj.w_k, x_k, "spa")            # chat x T
+    v_pool = _project(m.proj.w_v, x_v, "spa")            # C x T
+    logits = ops.matmul(k_pool.T, q)                     # T x N
     instrument.add("map", 2 * m.proj.reduced * logits.size)
     attn = ops.softmax(logits, axis=0, out=logits)       # anchor weights sum to 1 per position
     instrument.add("softmax", 5 * attn.size)
     agg = ops.matmul(v_pool, attn)                       # C x N
     instrument.add("agg", 2 * c * attn.size)
     out = _gate_forward(agg, m.lam, xf, "spa").reshape(c, h, w)
-    return out, attn, (x.shape, xf, m, q, k_pool, v_pool, attn, agg)
+    return out, attn, (x.shape, xf, m, x_k, x_v, q, k_pool, v_pool, attn, agg)
 
 
 @_quiet
 def spa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    shape, xf, m, q, k_pool, v_pool, attn, agg = cache
+    shape, xf, m, x_k, x_v, q, k_pool, v_pool, attn, agg = cache
     c, h, w = shape
-    g = grad_out.reshape(xf.shape)
+    g = _upstream(grad_out, shape, "spa")
     d_lam, d_agg = _gate_backward(g, agg, m.lam)
-    d_vpool = ops.matmul(d_agg, ops.transpose2d(attn))   # C x T
-    d_attn = ops.matmul(ops.transpose2d(v_pool), d_agg)  # T x N
+    d_vpool = ops.matmul(d_agg, attn.T)                  # C x T
+    d_attn = ops.matmul(v_pool.T, d_agg)                 # T x N
     d_logits = ops.softmax_backward(attn, d_attn, axis=0, out=d_attn)
-    d_kpool = ops.matmul(q, ops.transpose2d(d_logits))   # chat x T
+    d_kpool = ops.matmul(q, d_logits.T)                  # chat x T
     d_q = ops.matmul(k_pool, d_logits)                   # chat x N
-    d_kmap = pyramid_pool_backward(d_kpool, m.k_spec, h, w).reshape(m.proj.reduced, h * w)
-    d_vmap = pyramid_pool_backward(d_vpool, m.v_spec, h, w).reshape(c, h * w)
-    return _checked({**_projection_backward(m.proj, xf, shape, g, d_q, d_kmap, d_vmap),
+    d_xk = ops.matmul(m.proj.w_k.T, d_kpool)             # C x T
+    d_xv = ops.matmul(m.proj.w_v.T, d_vpool)             # C x T
+    if m.v_spec == m.k_spec:                             # one pool made x_k and x_v
+        d_pooled = pyramid_pool_backward(d_xk + d_xv, m.k_spec, h, w)
+    else:
+        d_pooled = (pyramid_pool_backward(d_xk, m.k_spec, h, w)
+                    + pyramid_pool_backward(d_xv, m.v_spec, h, w))
+    d_x = g + ops.matmul(m.proj.w_q.T, d_q) + d_pooled.reshape(c, h * w)
+    return _checked({"w_q": ops.matmul(d_q, xf.T), "w_k": ops.matmul(d_kpool, x_k.T),
+                     "w_v": ops.matmul(d_vpool, x_v.T), "x": d_x.reshape(shape),
                      "lam": d_lam}, "spa")
 
 
@@ -300,7 +323,7 @@ def cpa_stages(x: np.ndarray, m: CpaModule):
         q = _project(m.proj.w_q, xf, "cpa")
         k = _project(m.proj.w_k, xf, "cpa")
         v = _project(m.proj.w_v, xf, "cpa")
-    d = _finite(ops.matmul(q, ops.transpose2d(k)), "cpa map")   # C x C channel similarity
+    d = _finite(ops.matmul(q, k.T), "cpa map")          # C x C channel similarity
     instrument.add("map", 2 * q.shape[1] * d.size)
     diff = ops.max_over_rows(d) - d                      # column max broadcast over rows, >= 0
     instrument.add("maxdiff", 2 * d.size)
@@ -316,10 +339,10 @@ def cpa_stages(x: np.ndarray, m: CpaModule):
 @_quiet
 def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     shape, xf, m, q, k, v, d, diff, attn, agg = cache
-    g = grad_out.reshape(xf.shape)
+    g = _upstream(grad_out, shape, "cpa")
     d_mu, d_agg = _gate_backward(g, agg, m.mu)
-    d_attn = ops.matmul(d_agg, ops.transpose2d(v))       # C x C
-    d_v = ops.matmul(ops.transpose2d(attn), d_agg)       # C x N
+    d_attn = ops.matmul(d_agg, v.T)                      # C x C
+    d_v = ops.matmul(attn.T, d_agg)                      # C x N
     d_gated = ops.softmax_backward(attn, d_attn, axis=1)
     d_diff = 2.0 * diff * d_gated if m.mode is CpaMode.SQUARE else d_gated
     d_d = -d_diff
@@ -327,7 +350,7 @@ def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     argmax_rows = np.argmax(d, axis=0)
     d_d[argmax_rows, np.arange(d.shape[1])] += d_diff.sum(axis=0)
     d_q = ops.matmul(d_d, k)                             # C x N
-    d_k = ops.matmul(ops.transpose2d(d_d), q)            # C x N
+    d_k = ops.matmul(d_d.T, q)                           # C x N
     grads = ({"x": (g + d_q + d_k + d_v).reshape(shape)} if m.proj is None
              else _projection_backward(m.proj, xf, shape, g, d_q, d_k, d_v))
     return _checked({"mu": d_mu, **grads}, "cpa")

@@ -40,8 +40,9 @@ def write_dpt(path: str | Path, arr: np.ndarray) -> None:
     code = _CODES_BY_KIND[arr.dtype]
     header = MAGIC + struct.pack("<BBB", VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype(_DTYPE_CODES[code], copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as f:       # the payload goes from the array's own buffer
+        f.write(header)
+        f.write(memoryview(arr.astype(_DTYPE_CODES[code], copy=False)))
 
 
 def read_dpt(path: str | Path) -> np.ndarray:
@@ -71,7 +72,7 @@ def _parse_dpt(path: str | Path, raw: bytes) -> np.ndarray:
     if len(raw) - dims_end != expected:
         raise DptFormatError(f"{path}: payload length mismatch, expected {expected} bytes, "
                              f"got {len(raw) - dims_end}")
-    values = np.frombuffer(raw[dims_end:], dtype=dtype)
+    values = np.frombuffer(raw, dtype=dtype, offset=dims_end)
     native = np.dtype(np.float32) if code == 0 else np.dtype(np.float64)
     return values.astype(native, copy=True).reshape(dims)
 

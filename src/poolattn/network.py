@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_stages,
+from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, _upstream, cpa_stages,
                         cpa_stages_backward, init_projection, spa_module, spa_stages,
                         spa_stages_backward)
 from .errors import ConfigurationError, NonFiniteError, TrainingDivergenceError
@@ -103,9 +103,9 @@ def stages_backward(cache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a logits-contracted loss, keyed like `model.params` plus `image`."""
     model, image, pre1, f1, pre2, cat, spa_cache, cpa_cache = cache
     c, h, w = cat.shape
-    g_flat = grad_logits.reshape(model.classes, h * w)
-    d_fuse = ops.matmul(g_flat, ops.transpose2d(cat.reshape(c, h * w)))
-    d_cat = ops.matmul(ops.transpose2d(model.fuse_w), g_flat).reshape(c, h, w)
+    g_flat = _upstream(grad_logits, (model.classes, h, w), "network")
+    d_fuse = ops.matmul(g_flat, cat.reshape(c, h * w).T)
+    d_cat = ops.matmul(model.fuse_w.T, g_flat).reshape(c, h, w)
     half = model.channels
     sg = spa_stages_backward(spa_cache, np.ascontiguousarray(d_cat[:half]))
     cg = cpa_stages_backward(cpa_cache, np.ascontiguousarray(d_cat[half:]))

@@ -15,7 +15,8 @@ public entry point still raises NonFiniteError on NaN/Inf anywhere.
 
 matmul delegates to numpy's BLAS. It must stay within 1e-12 relative of
 the index-ascending reference (`tests/oracles.py` `loop_matmul`) and is
-bitwise reproducible call-to-call on one machine.
+bitwise reproducible call-to-call on one machine. Its operands may be
+transposed views (`a.T`): BLAS reads them in place, so callers make no copy.
 """
 
 from __future__ import annotations
@@ -174,6 +175,25 @@ def conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(w.shape[0], h, wd)
 
 
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """The (C*k*k) x (H*W) columns of x zero-padded by (k-1)/2: row (c, di, dj) holds
+    channel c shifted by tap (di, dj), the order of a C_out x C_in x k x k weight's rows."""
+    c, h, wd = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + wd] = x
+    s = xp.strides
+    windows = np.ndarray((c, k, k, h, wd), xp.dtype, xp, 0, (*s, s[1], s[2]))
+    return windows.reshape(c * k * k, h * wd)               # the one copy
+
+
+def _conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """conv2d_same unchecked: one GEMM of the C_out x (C_in*k*k) weights and the columns."""
+    c_out, _, k, _ = w.shape
+    _, h, wd = x.shape
+    return np.matmul(w.reshape(c_out, -1), _im2col(x, k)).reshape(c_out, h, wd)
+
+
 def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stride-1 zero-padded convolution preserving spatial size; kernel must be odd."""
     _check_dims(x, "conv2d_same")
@@ -186,39 +206,18 @@ def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise ConfigurationError(f"conv2d_same: kernel must be square and odd, got {k}x{k2}")
     if c_in != x.shape[0]:
         raise DimensionError(f"conv2d_same: channel mismatch, weights {w.shape} vs input {x.shape}")
-    c, h, wd = x.shape
-    pad = (k - 1) // 2
-    xp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-    xp[:, pad : pad + h, pad : pad + wd] = x
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))   # k x k x C_out x C_in
-    out = np.zeros((c_out, h, wd), dtype=x.dtype)
-    flat = out.reshape(c_out, h * wd)
-    for di in range(k):
-        for dj in range(k):
-            window = xp[:, di : di + h, dj : dj + wd].reshape(c, h * wd)
-            flat += np.matmul(taps[di, dj], window)
-    return out
+    return _conv(x, w)
 
 
 def conv2d_same_backward(x: np.ndarray, w: np.ndarray,
                          grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of conv2d_same wrt input and weights."""
-    c_out, c_in, k, _ = w.shape
-    c, h, wd = x.shape
-    pad = (k - 1) // 2
-    xp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-    xp[:, pad : pad + h, pad : pad + wd] = x
-    gflat = grad_out.reshape(c_out, h * wd)
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))   # k x k x C_out x C_in
-    grad_w = np.zeros_like(w)
-    grad_xp = np.zeros_like(xp)
-    for di in range(k):
-        for dj in range(k):
-            window = xp[:, di : di + h, dj : dj + wd].reshape(c, h * wd)
-            grad_w[:, :, di, dj] = np.matmul(gflat, window.T)
-            grad_xp[:, di : di + h, dj : dj + wd] += np.matmul(
-                taps[di, dj].T, gflat).reshape(c, h, wd)
-    return np.ascontiguousarray(grad_xp[:, pad : pad + h, pad : pad + wd]), grad_w
+    """Gradients of conv2d_same wrt input and weights, one GEMM each: the weights' against
+    the input's columns, the input's a convolution of grad_out with the weights
+    flipped in space and transposed in channels."""
+    c_out, _, k, _ = w.shape
+    grad_w = np.matmul(grad_out.reshape(c_out, -1), _im2col(x, k).T).reshape(w.shape)
+    flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return _conv(grad_out, flipped), grad_w
 
 
 def max_over_rows(a: np.ndarray) -> np.ndarray:
@@ -270,11 +269,6 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float,
         v += g
         p -= lr * v
         _finite(p, "sgd_step")
-
-
-def transpose2d(a: np.ndarray) -> np.ndarray:
-    _rank2(a, "transpose2d")
-    return np.ascontiguousarray(a.T)
 
 
 def init_weight(rng: Rng, shape: tuple[int, ...], fan_in: int,

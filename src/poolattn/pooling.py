@@ -117,6 +117,8 @@ def pyramid_pool(x: np.ndarray, spec: PyramidSpec) -> np.ndarray:
 
     Each anchor is the pairwise sum of its bin's pixels, read row-major, over its area.
     The one-bin level's pixels are a whole row of `xf`, so it is summed without a gather.
+    The plan's indices are in range by construction, so the gather skips numpy's
+    bounds check (mode="clip": the same values, 13-20% faster at the paper shape).
     """
     _check_dims(x, "pyramid_pool")
     if x.ndim != 3:
@@ -125,7 +127,7 @@ def pyramid_pool(x: np.ndarray, spec: PyramidSpec) -> np.ndarray:
     xf = x.reshape(c, h * w)
     out = np.empty((c, anchor_count(spec)), dtype=x.dtype)
     for area, anchors, pixels in _pool_plan(spec.sizes, h, w):
-        block = xf[:, None, :] if area == h * w else np.take(xf, pixels, axis=1)
+        block = xf[:, None, :] if area == h * w else np.take(xf, pixels, axis=1, mode="clip")
         out[:, anchors] = block.sum(axis=2) / area
     instrument.add("pool", c * h * w * len(spec.sizes))
     return _finite(out, "pyramid_pool")

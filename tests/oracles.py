@@ -179,3 +179,67 @@ def loop_cpa(x, proj, mode, mu):
             agg = sum(float(attn[j, i]) * float(v[i, t]) for i in range(c))
             out[j, t] = mu * agg + float(xf[j, t])
     return out.reshape(c, h, w), attn
+
+
+def loop_conv2d_same(x, w):
+    """Stride-1 zero-padded convolution as a sum over kernel taps: for each tap
+    (di, dj), the C_out x C_in tap weights times the input shifted by that tap."""
+    c_out, _, k, _ = w.shape
+    c, h, wd = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + wd] = x
+    out = np.zeros((c_out, h * wd), dtype=x.dtype)
+    for di in range(k):
+        for dj in range(k):
+            window = xp[:, di:di + h, dj:dj + wd].reshape(c, h * wd)
+            out += np.matmul(np.ascontiguousarray(w[:, :, di, dj]), window)
+    return out.reshape(c_out, h, wd)
+
+
+def loop_conv2d_same_backward(x, w, grad_out):
+    """Input and weight gradients of `loop_conv2d_same`, tap by tap."""
+    c_out, _, k, _ = w.shape
+    c, h, wd = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + wd] = x
+    gflat = grad_out.reshape(c_out, h * wd)
+    grad_w = np.zeros_like(w)
+    grad_xp = np.zeros_like(xp)
+    for di in range(k):
+        for dj in range(k):
+            window = xp[:, di:di + h, dj:dj + wd].reshape(c, h * wd)
+            grad_w[:, :, di, dj] = np.matmul(gflat, window.T)
+            grad_xp[:, di:di + h, dj:dj + wd] += np.matmul(
+                np.ascontiguousarray(w[:, :, di, dj]).T, gflat).reshape(c, h, wd)
+    return grad_xp[:, pad:pad + h, pad:pad + wd], grad_w
+
+
+def project_then_pool_spa(x, w_q, w_k, w_v, lam, k_sizes, v_sizes, grad_out):
+    """SPA in the paper's order, forward and backward: keys and values are projected at
+    every position, then pooled. Returns (out, attn, gradients keyed w_q, w_k, w_v, x, lam).
+
+    The library pools first and projects over the anchors; the two orders agree
+    because pooling is linear and the projections have no bias.
+    """
+    c, h, w = x.shape
+    xf = x.reshape(c, h * w)
+    q = w_q @ xf
+    k_pool = contiguous_pyramid_pool((w_k @ xf).reshape(-1, h, w), k_sizes)
+    v_pool = contiguous_pyramid_pool((w_v @ xf).reshape(c, h, w), v_sizes)
+    attn = unflushed_softmax(k_pool.T @ q, axis=0)
+    agg = v_pool @ attn
+    out = lam * agg + xf
+    g = grad_out.reshape(c, h * w)
+    d_agg = lam * g
+    d_vpool = d_agg @ attn.T
+    d_logits = whole_softmax_backward(attn, v_pool.T @ d_agg, axis=0)
+    d_kpool = q @ d_logits.T
+    d_q = k_pool @ d_logits
+    d_k = loop_pyramid_pool_backward(d_kpool, k_sizes, h, w).reshape(-1, h * w)
+    d_v = loop_pyramid_pool_backward(d_vpool, v_sizes, h, w).reshape(c, h * w)
+    grads = {"w_q": d_q @ xf.T, "w_k": d_k @ xf.T, "w_v": d_v @ xf.T,
+             "x": (g + w_q.T @ d_q + w_k.T @ d_k + w_v.T @ d_v).reshape(c, h, w),
+             "lam": float(np.sum(g * agg))}
+    return out.reshape(c, h, w), attn, grads

@@ -147,6 +147,28 @@ def test_instrumented_execution_matches_closed_form():
         assert tally.get("proj", 0) == cpa_cost.flops_proj
 
 
+@pytest.mark.parametrize("k_spec, v_spec, proj, pool", [
+    (PAPER_EVEN, PAPER_ODD, 41_742_336, 5_898_240),   # two pyramids: two pools
+    (PAPER_ODD, PAPER_ODD, 41_742_336, 2_949_120),    # one pyramid: one pool
+])
+def test_spa_instrumented_flops_match_closed_form_at_paper_shape(k_spec, v_spec, proj, pool):
+    # Keys and values are projected at T = 325 anchors: 2*N*chat*C + 2*T*(chat*C + C^2).
+    # Projected at all N = 9216 positions first, as in the paper, they cost 150,994,944
+    # and the two pools 4,423,680: what cost_nonlocal's flops_proj still holds.
+    c, chat, hw = 64, 32, 96
+    cost = cost_spa(c, chat, hw, hw, k_spec, v_spec, np.float32)
+    assert (cost.flops_proj, cost.flops_pool) == (proj, pool)
+    assert cost_nonlocal(c, chat, hw, hw).flops_proj == 150_994_944
+    rng = Rng(8)
+    x = rng.fill_uniform((c, hw, hw), 1.0, np.float32)
+    module = SpaModule(init_projection(rng, c, chat, np.float32), SpaMode.MIXED, k_spec, v_spec,
+                       0.5)
+    with instrument.counting() as tally:
+        spa_forward(x, module)
+    assert tally == {"proj": proj, "pool": pool, "map": cost.flops_map,
+                     "softmax": cost.flops_softmax, "agg": cost.flops_agg}
+
+
 def test_counting_tally_is_private_to_its_thread_and_nests():
     x = Rng(5).fill_uniform((2, 4, 4), 1.0)
     proj = init_projection(Rng(6), 2, 2)

@@ -12,8 +12,8 @@ from poolattn.errors import (ConfigurationError, DimensionError, LabelError,
 from poolattn.pooling import PyramidSpec, bin_edges, pyramid_pool
 from poolattn.rng import Rng
 
-from oracles import (loop_adaptive_pool, loop_matmul, loop_softmax_rows, unflushed_softmax,
-                     whole_softmax_backward)
+from oracles import (loop_adaptive_pool, loop_conv2d_same, loop_conv2d_same_backward,
+                     loop_matmul, loop_softmax_rows, unflushed_softmax, whole_softmax_backward)
 
 
 # --- matmul ---------------------------------------------------------------
@@ -92,12 +92,12 @@ def test_softmax_shift_invariance():
     shifts = rng.fill_uniform((4, 1), 5.0)
     assert np.allclose(ops.softmax(a, axis=1), ops.softmax(a + shifts, axis=1),
                        rtol=0, atol=1e-14)
-    cols = ops.transpose2d(a)
-    per_position = ops.transpose2d(shifts)
+    cols = np.ascontiguousarray(a.T)
+    per_position = np.ascontiguousarray(shifts.T)
     assert np.allclose(ops.softmax(cols, axis=0), ops.softmax(cols + per_position, axis=0),
                        rtol=0, atol=1e-14)
-    assert np.allclose(ops.softmax(cols, axis=0), ops.transpose2d(ops.softmax(a, axis=1)),
-                       rtol=0, atol=1e-15)
+    assert np.allclose(ops.softmax(cols, axis=0),
+                       np.ascontiguousarray(ops.softmax(a, axis=1).T), rtol=0, atol=1e-15)
 
 
 def test_softmax_matches_oracle():
@@ -283,6 +283,22 @@ def test_conv2d_same_backward_matches_finite_difference():
             assert abs((up - down) / (2 * h) - grad.reshape(-1)[idx]) < 1e-7
 
 
+@pytest.mark.parametrize("c_in, c_out, h, w, k", [(3, 16, 16, 16, 3), (16, 16, 8, 8, 3),
+                                                  (2, 3, 5, 7, 5), (4, 2, 2, 3, 5),
+                                                  (1, 1, 1, 1, 3), (3, 2, 4, 4, 1)])
+def test_conv2d_same_im2col_matches_tap_loop(c_in, c_out, h, w, k):
+    # One GEMM over the im2col columns sums the taps in another order than the loop.
+    rng = Rng(13)
+    x = rng.fill_uniform((c_in, h, w), 1.0)
+    wt = rng.fill_uniform((c_out, c_in, k, k), 0.5)
+    g = rng.fill_uniform((c_out, h, w), 1.0)
+    got = (ops.conv2d_same(x, wt), *ops.conv2d_same_backward(x, wt, g))
+    ref = (loop_conv2d_same(x, wt), *loop_conv2d_same_backward(x, wt, g))
+    for name, a, b in zip(("out", "grad_x", "grad_w"), got, ref):
+        assert a.shape == b.shape and a.flags.c_contiguous, name
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
 # --- pooling primitive ------------------------------------------------------
 # Adaptive average pooling to n x n is a one-level pyramid.
 
@@ -420,12 +436,7 @@ def test_sgd_shape_mismatch():
         ops.sgd_step([np.zeros(2)], [np.zeros(3)], 0.1, 0.0, [np.zeros(2)])
 
 
-# --- elementwise plumbing ----------------------------------------------------
-
-def test_transpose_round_trip_bitwise():
-    a = Rng(19).fill_uniform((3, 5), 1.0)
-    assert np.array_equal(ops.transpose2d(ops.transpose2d(a)), a)
-
+# --- stage checks ------------------------------------------------------------
 
 def test_nonfinite_result_is_internal_error():
     # Each stage output is checked once, and the error names the stage: an f64 input

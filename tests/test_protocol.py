@@ -10,6 +10,7 @@ from poolattn import attention, gradcheck, network, ops, pooling
 from poolattn.attention import (CpaMode, CpaModule, SpaMode, cpa_backward, cpa_forward,
                                 init_projection, nonlocal_backward, nonlocal_forward,
                                 spa_backward, spa_forward, spa_module)
+from poolattn.errors import DimensionError
 from poolattn.network import TrainConfig, build_model, synth_dataset, train
 from poolattn.pooling import PyramidSpec
 from poolattn.rng import Rng
@@ -97,9 +98,9 @@ def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
     """Stem, SPA and CPA stages each run once per sample: backward reuses the forward cache.
 
     Each stage is counted by a call that only its forward makes: the stem by
-    its two conv2d_same, SPA by its two pyramid pools (keys and values), CPA
-    by max_over_rows. The final pixel-accuracy sweep is a separate
-    evaluation and is stubbed out.
+    its two conv2d_same, SPA by its pyramid pool (one: keys and values share the
+    only-odd pyramid), CPA by max_over_rows. The final pixel-accuracy sweep is a
+    separate evaluation and is stubbed out.
     """
     batch = 4
     calls = Counter()
@@ -114,22 +115,24 @@ def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
     train(model, synth_dataset(5, batch, 16),
           TrainConfig(lr=0.05, momentum=0.9, steps=1, seed=5, image_size=16, batch=batch))
     assert calls["conv2d_same"] == 2 * batch
-    assert calls["pyramid_pool"] == 2 * batch
+    assert calls["pyramid_pool"] == batch
     assert calls["max_over_rows"] == batch
 
 
 @pytest.mark.parametrize("label, case, call, counts", [
-    ("spa_forward", "spa-onlyodd-c4-6x6", "forward", (3, 3, 8)),
-    ("spa_backward", "spa-onlyodd-c4-6x6", "backward", (6, 5, 15)),
+    ("spa_forward", "spa-onlyodd-c4-6x6", "forward", (2, 2, 7)),
+    ("spa_backward", "spa-onlyodd-c4-6x6", "backward", (4, 3, 13)),
     ("cpa_forward", "cpa-subtract-plain-c4-5x5", "forward", (1, 1, 4)),
-    ("network.forward", "network-16ch-8x8", "forward", (5, 9, 15)),
+    ("network.forward", "network-16ch-8x8", "forward", (4, 8, 14)),
 ])
 def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, call, counts):
     """(np.errstate entries, _check_dims calls, _finite calls) for one call at a manifest shape.
 
     A stage enters one errstate, validates its input once and checks each output once.
     While every primitive did all three for itself these read 10/14/10, 22/43/24, 6/7/6
-    and 22/29/21, so a per-primitive check that comes back shows here.
+    and 22/29/21, so a per-primitive check that comes back shows here. SPA pools its
+    input once when keys and values share a pyramid (3/3/8, 6/5/15 and 5/9/15 while
+    it pooled projected keys and values apart).
     """
     seen = Counter()
 
@@ -154,3 +157,23 @@ def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, c
     grad = Rng(1).fill_uniform(out_shape, 1.0)
     forward() if call == "forward" else backward(grad)
     assert (seen["errstate"], seen["_check_dims"], seen["_finite"]) == counts, label
+
+
+@pytest.mark.parametrize("name", ["nonlocal", "spa", "cpa", "network"])
+def test_backward_rejects_a_gradient_of_the_wrong_shape(name):
+    # A 2x6x4 gradient has the size of a 2x4x6 output but not its shape.
+    rng = Rng(8)
+    x = rng.fill_uniform((2, 4, 6), 1.0)
+    g = rng.fill_uniform((2, 6, 4), 1.0)
+    spec = PyramidSpec((1, 3))
+    proj = init_projection(rng, 2)
+    calls = {
+        "nonlocal": lambda: nonlocal_backward(x, proj, 0.5, g),
+        "spa": lambda: spa_backward(x, spa_module(proj, SpaMode.ONLY_ODD, odd_spec=spec,
+                                                  lam=0.5), g),
+        "cpa": lambda: cpa_backward(x, CpaModule(None, CpaMode.SUBTRACT, 0.5), g),
+        "network": lambda: network.backward(build_model(8, channels=2, odd_spec=spec),
+                                            rng.fill_uniform((3, 4, 6), 1.0), g),
+    }
+    with pytest.raises(DimensionError, match="grad"):
+        calls[name]()
