@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComparisonError
+from .ops import dtype_name
 from .pooling import PyramidSpec, anchor_count
 
 
@@ -73,10 +74,6 @@ class CostReport:
         return d
 
 
-def _dtype_name(dtype) -> str:
-    return "f64" if dtype_size(dtype) == 8 else "f32"
-
-
 def cost_nonlocal(c: int, chat: int, h: int, w: int, dtype=np.float32) -> CostReport:
     """Full N x N attention: map 2*chat*N^2, softmax 5N^2, aggregation 2*c*N^2."""
     n = h * w
@@ -90,7 +87,7 @@ def cost_nonlocal(c: int, chat: int, h: int, w: int, dtype=np.float32) -> CostRe
         attn_map_bytes=n * n * dtype_size(dtype),
         shape=(c, chat, h, w),
         flops_map=fmap, flops_softmax=fsoft, flops_agg=fagg,
-        dtype=_dtype_name(dtype),
+        dtype=dtype_name(dtype),
     )
 
 
@@ -119,7 +116,7 @@ def cost_spa(c: int, chat: int, h: int, w: int, k_spec: PyramidSpec, v_spec: Pyr
         attn_map_bytes=t * n * dtype_size(dtype),
         shape=(c, chat, h, w),
         flops_map=fmap, flops_softmax=fsoft, flops_agg=fagg,
-        dtype=_dtype_name(dtype),
+        dtype=dtype_name(dtype),
         spec_names=spec_names,
     )
 
@@ -138,7 +135,7 @@ def cost_cpa(c: int, h: int, w: int, with_proj: bool, dtype=np.float32) -> CostR
         attn_map_bytes=c * c * dtype_size(dtype),
         shape=(c, c, h, w),
         flops_map=fmap, flops_softmax=fsoft, flops_agg=fagg, flops_extra=fextra,
-        dtype=_dtype_name(dtype),
+        dtype=dtype_name(dtype),
     )
 
 

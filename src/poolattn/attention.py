@@ -84,13 +84,23 @@ def init_projection(rng: Rng, channels: int, reduced: int | None = None,
     )
 
 
-class SpaMode(Enum):
+class _Mode(Enum):
+    """A mode named by its value; any other text raises ConfigurationError naming the
+    valid values."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigurationError(f"{cls.__name__} must be one of "
+                                 f"{', '.join(m.value for m in cls)}, got {value!r}")
+
+
+class SpaMode(_Mode):
     ONLY_ODD = "only-odd"
     ONLY_EVEN = "only-even"
     MIXED = "mixed"
 
 
-class CpaMode(Enum):
+class CpaMode(_Mode):
     SUBTRACT = "subtract"
     SQUARE = "square"
 

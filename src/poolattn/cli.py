@@ -3,7 +3,8 @@
 Subcommands: flops, bench, equivalence, gradcheck, train-demo, coverage,
 attn. Reports are UTF-8 JSON, newline-terminated, written to stdout and
 optionally mirrored to --out. Exit codes: 0 success, 1 verification
-failure, 2 usage/format error, 3 resource limit exceeded.
+failure, 2 usage/format error, 3 resource limit exceeded; each error class in
+`errors` carries its own, and an OSError on an input or output path exits 2.
 """
 
 from __future__ import annotations
@@ -13,20 +14,11 @@ import json
 import math
 import sys
 
-from . import harness, threads
-from .errors import (ComparisonError, ConfigurationError, DimensionError, DptFormatError,
-                     LabelError, NonFiniteError, PoolSizeError, ResourceLimitError,
-                     TrainingDivergenceError)
+from . import errors, harness, ops, threads
+from .attention import CpaMode, SpaMode
+from .errors import EXIT_OK, EXIT_USAGE, EXIT_VERIFY
 from .pooling import parse_spec
 from .version import __version__
-
-EXIT_OK = 0
-EXIT_VERIFY = 1
-EXIT_USAGE = 2
-EXIT_RESOURCE = 3
-
-_USAGE_ERRORS = (ConfigurationError, DimensionError, PoolSizeError, DptFormatError,
-                 LabelError, ComparisonError)
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -82,7 +74,7 @@ def _add_shape_flags(p: argparse.ArgumentParser) -> None:
                    help="key pyramid: preset name or comma list (default paper-even)")
     p.add_argument("--spec-v", default="paper-odd",
                    help="value pyramid: preset name or comma list (default paper-odd)")
-    p.add_argument("--dtype", choices=["f32", "f64"], default="f32")
+    p.add_argument("--dtype", choices=list(ops.DTYPES), default="f32")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,10 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable poly lr decay with this power (paper value 0.9)")
     p.add_argument("--count", type=int, default=4, help="synthetic samples")
     p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--spa-mode", choices=["only-odd", "only-even", "mixed"],
-                   default="only-odd")
+    p.add_argument("--spa-mode", choices=[m.value for m in SpaMode], default="only-odd")
     p.add_argument("--spec", default="toy-odd")
-    p.add_argument("--cpa-mode", choices=["subtract", "square"], default="subtract")
+    p.add_argument("--cpa-mode", choices=[m.value for m in CpaMode], default="subtract")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("coverage", help="pyramid bin-boundary histograms")
@@ -167,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chat", type=_positive, default=None)
     p.add_argument("--spec-k", default="paper-even")
     p.add_argument("--spec-v", default="paper-odd")
-    p.add_argument("--cpa-mode", choices=["subtract", "square"], default="subtract")
+    p.add_argument("--cpa-mode", choices=[m.value for m in CpaMode], default="subtract")
     p.add_argument("--with-proj", action="store_true")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--mu", type=float, default=1.0)
@@ -195,7 +186,7 @@ def _parse_spec_groups(text: str) -> list:
     if pending:
         specs.append(parse_spec(",".join(pending)))
     if not specs:
-        raise ConfigurationError(f"--specs {text!r} names no pyramids")
+        raise errors.ConfigurationError(f"--specs {text!r} names no pyramids")
     return specs
 
 
@@ -288,18 +279,12 @@ def main(argv: list[str] | None = None) -> int:
         if cap is not None and args.command == "bench":
             print(f"thread cap: {cap}", file=sys.stderr)
         return _run(args, parser)
-    except _USAGE_ERRORS as exc:
+    except errors.PoolAttnError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:        # an unreadable --input or unwritable --out*
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (TrainingDivergenceError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

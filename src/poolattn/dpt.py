@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DptFormatError
+from .ops import DTYPES
 
 MAGIC = b"DPTENSOR"
 VERSION = 1
@@ -93,12 +94,13 @@ def _read_json_tensor(path: str | Path, raw: bytes) -> np.ndarray:
         raise DptFormatError(f"{path}: neither DPT nor JSON tensor ({exc})") from exc
     if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
         raise DptFormatError(f"{path}: JSON tensor needs 'shape' and 'data' fields")
-    dtype = {"f32": np.float32, "f64": np.float64}.get(obj.get("dtype", "f64"))
-    if dtype is None:
-        raise DptFormatError(f"{path}: JSON tensor dtype must be 'f32' or 'f64'")
+    name = obj.get("dtype", "f64")
+    if not isinstance(name, str) or name not in DTYPES:
+        raise DptFormatError(f"{path}: JSON tensor dtype must be "
+                             f"{' or '.join(map(repr, DTYPES))}")
     try:
         shape = tuple(int(d) for d in obj["shape"])
-        data = np.asarray(obj["data"], dtype=dtype).reshape(-1)
+        data = np.asarray(obj["data"], dtype=DTYPES[name]).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise DptFormatError(f"{path}: JSON tensor shape and data must be numbers "
                              f"({exc})") from exc

@@ -20,19 +20,12 @@ from . import accounting, dpt, gradcheck, network
 from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_forward,
                         init_projection, nonlocal_forward, param_count, spa_forward)
 from .errors import ConfigurationError, ResourceLimitError
+from .ops import resolve_dtype
 from .pooling import PyramidSpec, anchor_count, boundary_histogram, interior_offsets, \
     parse_spec, spec_name
 from .rng import Rng
 from .threads import thread_cap
 from .version import __version__
-
-_DTYPES = {"f32": np.float32, "f64": np.float64}
-
-
-def resolve_dtype(name: str):
-    if name not in _DTYPES:
-        raise ConfigurationError(f"dtype must be f32 or f64, got {name!r}")
-    return _DTYPES[name]
 
 
 def _check_mem_limit(module_kind: str, cost: accounting.CostReport,
@@ -198,6 +191,8 @@ def gradcheck_report(kind: str, config: dict, seed: int, h: float, tol: float) -
 def train_demo_report(seed: int, size: int, steps: int, lr: float, momentum: float,
                       poly_power: float | None, count: int, batch: int,
                       spa_mode: str, spec_text: str, cpa_mode: str) -> dict:
+    cfg = network.TrainConfig(lr=lr, momentum=momentum, steps=steps,
+                              poly_power=poly_power, batch=batch)
     mode = SpaMode(spa_mode)
     if mode is SpaMode.MIXED:
         # Mixed mode pairs the matched toy pyramids; --spec applies to the single-spec modes.
@@ -209,8 +204,6 @@ def train_demo_report(seed: int, size: int, steps: int, lr: float, momentum: flo
                                     cpa_mode=CpaMode(cpa_mode))
         spec_label = spec_name(spec)
     data = network.synth_dataset(seed, count, size)
-    cfg = network.TrainConfig(lr=lr, momentum=momentum, steps=steps, seed=seed,
-                              poly_power=poly_power, image_size=size, batch=batch)
     report = network.train(model, data, cfg)
     return {
         "version": __version__,

@@ -66,21 +66,19 @@ def build_model(seed: int, channels: int = 16, classes: int = 2,
                 odd_spec: PyramidSpec = TOY_ODD,
                 even_spec: PyramidSpec | None = None,
                 cpa_mode: CpaMode = CpaMode.SUBTRACT,
-                cpa_proj: bool = False,
-                dtype: np.dtype = ops.F64) -> DpaNetMini:
-    """Seed-deterministic model with both gates at exactly 0."""
+                cpa_proj: bool = False) -> DpaNetMini:
+    """Seed-deterministic float64 model with both gates at exactly 0."""
     if spa_mode is SpaMode.MIXED and even_spec is None:
         odd_spec, even_spec = TOY_ODD_MATCHED, TOY_EVEN_MATCHED
     rng = Rng(seed)
     stem_w1 = ops.init_weight(rng, (channels, 3, STEM_KERNEL, STEM_KERNEL),
-                              3 * STEM_KERNEL * STEM_KERNEL, dtype)
+                              3 * STEM_KERNEL * STEM_KERNEL)
     stem_w2 = ops.init_weight(rng, (channels, channels, STEM_KERNEL, STEM_KERNEL),
-                              channels * STEM_KERNEL * STEM_KERNEL, dtype)
-    spa = spa_module(init_projection(rng, channels, dtype=dtype), spa_mode,
+                              channels * STEM_KERNEL * STEM_KERNEL)
+    spa = spa_module(init_projection(rng, channels), spa_mode,
                      odd_spec=odd_spec, even_spec=even_spec)
-    cpa = CpaModule(init_projection(rng, channels, dtype=dtype) if cpa_proj else None,
-                    cpa_mode)
-    fuse_w = ops.init_weight(rng, (classes, 2 * channels), 2 * channels, dtype)
+    cpa = CpaModule(init_projection(rng, channels) if cpa_proj else None, cpa_mode)
+    fuse_w = ops.init_weight(rng, (classes, 2 * channels), 2 * channels)
     return DpaNetMini(stem_w1, stem_w2, spa, cpa, fuse_w)
 
 
@@ -107,8 +105,8 @@ def stages_backward(cache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     d_fuse = ops.matmul(g_flat, cat.reshape(c, h * w).T)
     d_cat = ops.matmul(model.fuse_w.T, g_flat).reshape(c, h, w)
     half = model.channels
-    sg = spa_stages_backward(spa_cache, np.ascontiguousarray(d_cat[:half]))
-    cg = cpa_stages_backward(cpa_cache, np.ascontiguousarray(d_cat[half:]))
+    sg = spa_stages_backward(spa_cache, d_cat[:half])
+    cg = cpa_stages_backward(cpa_cache, d_cat[half:])
     d_pre2 = (sg.pop("x") + cg.pop("x")) * (pre2 > 0)
     d_f1, d_w2 = ops.conv2d_same_backward(f1, model.stem_w2, d_pre2)
     d_img, d_w1 = ops.conv2d_same_backward(image, model.stem_w1, d_f1 * (pre1 > 0))
@@ -167,15 +165,19 @@ def synth_dataset(seed: int, count: int, size: int) -> list[SynthSample]:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer settings for `train`; the image size is the data's."""
+
     lr: float
     momentum: float
     steps: int
-    seed: int
     poly_power: float | None = None
-    image_size: int = 16
     batch: int = 4
 
     def __post_init__(self):
+        if not math.isfinite(self.lr):
+            raise ConfigurationError(f"lr must be finite, got {self.lr}")
+        if self.poly_power is not None and not math.isfinite(self.poly_power):
+            raise ConfigurationError(f"poly_power must be finite, got {self.poly_power}")
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 <= self.momentum < 1.0:
@@ -225,13 +227,11 @@ def train(model: DpaNetMini, data: list[SynthSample], cfg: TrainConfig) -> Train
     """SGD with momentum and optional poly decay; mutates the model in place."""
     if not data:
         raise ConfigurationError("training needs at least one sample")
+    size = data[0].image.shape[1]
     max_size = max(model.spa.k_spec.max_size, model.spa.v_spec.max_size)
-    if cfg.image_size < max_size:
-        raise ConfigurationError(f"image size {cfg.image_size} is below the largest "
+    if size < max_size:
+        raise ConfigurationError(f"image size {size} is below the largest "
                                  f"pyramid size {max_size}")
-    if data[0].image.shape[1] != cfg.image_size:
-        raise ConfigurationError(f"config image size {cfg.image_size} does not match "
-                                 f"data samples of size {data[0].image.shape[1]}")
 
     params = model.params
     velocity = {k: np.zeros_like(p) for k, p in params.items()}

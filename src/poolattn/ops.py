@@ -31,7 +31,8 @@ from .rng import Rng
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
-_ALLOWED = (F32, F64)
+DTYPES = {"f32": F32, "f64": F64}      # the names flags, files and reports use
+_ALLOWED = tuple(DTYPES.values())
 # Entries per slice of the softmax walks: 4 MiB in f32, so each pass over a slice
 # finds it still in L2; one slice for a C x C map up to C = 1024.
 _SLICE = 1 << 20
@@ -44,6 +45,22 @@ def _quiet(fn):
         with np.errstate(all="ignore"):
             return fn(*args, **kwargs)
     return wrapper
+
+
+def resolve_dtype(name: str) -> np.dtype:
+    """The dtype a name of DTYPES stands for; ConfigurationError for any other name."""
+    if name not in DTYPES:
+        raise ConfigurationError(f"dtype must be {' or '.join(DTYPES)}, got {name!r}")
+    return DTYPES[name]
+
+
+def dtype_name(dtype) -> str:
+    """The DTYPES name of float32/float64; ConfigurationError for any other dtype."""
+    dtype = np.dtype(dtype)
+    for name, allowed in DTYPES.items():
+        if dtype == allowed:
+            return name
+    raise ConfigurationError(f"dtype {dtype} is not float32/float64")
 
 
 def _check_dims(a: np.ndarray, op: str) -> None:

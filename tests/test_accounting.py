@@ -8,7 +8,7 @@ from poolattn.accounting import (cost_cpa, cost_nonlocal, cost_spa, reduction_ra
 from poolattn.attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_forward,
                                 init_projection, nonlocal_forward, param_count,
                                 spa_forward)
-from poolattn.errors import ComparisonError
+from poolattn.errors import ComparisonError, ConfigurationError
 from poolattn.pooling import PAPER_EVEN, PAPER_ODD, PyramidSpec, anchor_count
 from poolattn.rng import Rng
 
@@ -77,6 +77,19 @@ def test_reduction_ratio_shape_mismatch():
     spa = cost_spa(8, 8, 6, 6, PyramidSpec((1, 2)), PyramidSpec((1, 2)))
     with pytest.raises(ComparisonError):
         reduction_ratio(nb, spa)
+
+
+@pytest.mark.parametrize("dtype,name", [(np.float32, "f32"), ("<f4", "f32"),
+                                        (np.float64, "f64"), (np.dtype("<f8"), "f64")])
+def test_reports_name_float_dtypes(dtype, name):
+    assert cost_nonlocal(2, 2, 3, 3, dtype).dtype == name
+    assert cost_cpa(2, 3, 3, False, dtype).dtype == name
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.complex64, np.float16])
+def test_reports_refuse_other_dtypes(dtype):
+    with pytest.raises(ConfigurationError, match="not float32/float64"):
+        cost_nonlocal(2, 2, 3, 3, dtype)
 
 
 def test_cpa_parameter_counts_and_bytes():

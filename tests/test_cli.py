@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from referencing import Registry, Resource
 
 import poolattn
-from poolattn import cli, harness
+from poolattn import cli, errors, harness
 from poolattn.dpt import read_dpt, write_dpt
 from poolattn.errors import ConfigurationError
 from poolattn.rng import Rng
@@ -454,6 +455,76 @@ def test_bad_float_flag_exits_2(flag, args, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+def _former_tracebacks(tmp_path):
+    """Invocations that once ended in a Python traceback: (args, exit code, what stderr
+    names)."""
+    src = tmp_path / "in.dpt"
+    write_dpt(src, Rng(14).fill_uniform((2, 4, 4), 1.0))
+    a_file = tmp_path / "plain.txt"
+    a_file.write_text("")
+    list_dtype = tmp_path / "list-dtype.json"
+    list_dtype.write_text(json.dumps({"shape": [1, 1, 2], "data": [1, 2], "dtype": ["f32"]}))
+    attn = ["attn", "--module", "cpa", "--out-attn", str(tmp_path / "a.dpt")]
+    return {
+        "gradcheck-h-overflow": (["gradcheck", "--kind", "cpa", "--h", "1e300"], 1,
+                                 "non-finite"),
+        "flops-out-dir": (["flops", "--hw", "8", "--out", str(tmp_path)], 2, "directory"),
+        "flops-out-under-file": (["flops", "--hw", "8", "--out", str(a_file / "x.json")], 2,
+                                 "Not a directory"),
+        "attn-input-dir": ([*attn, "--input", str(tmp_path),
+                            "--out-tensor", str(tmp_path / "o.dpt")], 2, "directory"),
+        "attn-out-tensor-dir": ([*attn, "--input", str(src), "--out-tensor", str(tmp_path)],
+                                2, "directory"),
+        "attn-json-list-dtype": ([*attn, "--input", str(list_dtype),
+                                  "--out-tensor", str(tmp_path / "o.dpt")], 2,
+                                 "dtype must be 'f32' or 'f64'"),
+        "gradcheck-spa-bad-mode": (["gradcheck", "--kind", "spa", "--mode", "bogus"], 2,
+                                   "only-odd, only-even, mixed, got 'bogus'"),
+        "gradcheck-cpa-spa-mode": (["gradcheck", "--kind", "cpa", "--mode", "only-odd"], 2,
+                                   "subtract, square, got 'only-odd'"),
+        "train-lr-nan": (["train-demo", "--lr", "nan"], 2, "lr must be finite"),
+        "train-lr-inf": (["train-demo", "--lr", "inf"], 2, "lr must be finite"),
+        "train-poly-power-nan": (["train-demo", "--poly-power", "nan"], 2,
+                                 "poly_power must be finite"),
+    }
+
+
+@pytest.mark.parametrize("case", ["gradcheck-h-overflow", "flops-out-dir",
+                                  "flops-out-under-file", "attn-input-dir",
+                                  "attn-out-tensor-dir", "attn-json-list-dtype",
+                                  "gradcheck-spa-bad-mode",
+                                  "gradcheck-cpa-spa-mode", "train-lr-nan", "train-lr-inf",
+                                  "train-poly-power-nan"])
+def test_former_traceback_exits_with_its_code(tmp_path, case):
+    args, code, names = _former_tracebacks(tmp_path)[case]
+    out = run_cli(*args)
+    assert out.returncode == code, out.stderr
+    assert "error: " in out.stderr and names in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_train_demo_finite_overflowing_rate_diverges_with_exit_1():
+    diverged = run_cli("train-demo", "--lr", "1e300")
+    assert diverged.returncode == 1
+    assert "non-finite loss at step 1" in diverged.stderr
+
+
+_ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(cls, errors.PoolAttnError)]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_has_an_exit_code_main_returns(cls, monkeypatch, capsys):
+    assert cls.exit_code in {1, 2, 3}
+
+    def raising(args, parser):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_run", raising)
+    assert cli.main(["flops", "--hw", "8"]) == cls.exit_code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_version_flag():

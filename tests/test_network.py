@@ -20,7 +20,7 @@ PINNED_MU = -0.44564747579589137
 def pinned_run():
     model = build_model(7)
     data = synth_dataset(7, 4, 16)
-    cfg = TrainConfig(lr=0.05, momentum=0.9, steps=300, seed=7, image_size=16, batch=4)
+    cfg = TrainConfig(lr=0.05, momentum=0.9, steps=300, batch=4)
     return train(model, data, cfg), model
 
 
@@ -104,8 +104,8 @@ def test_poly_lr_endpoints():
 def test_train_with_poly_decay_converges():
     model = build_model(11)
     data = synth_dataset(11, 4, 16)
-    report = train(model, data, TrainConfig(lr=0.05, momentum=0.9, steps=60, seed=11,
-                                            poly_power=0.9, image_size=16, batch=4))
+    report = train(model, data, TrainConfig(lr=0.05, momentum=0.9, steps=60,
+                                            poly_power=0.9, batch=4))
     assert report.loss_curve[-1] < report.loss_curve[0]
     assert len(report.loss_curve) == 60
 
@@ -115,8 +115,7 @@ def test_train_zero_lr_keeps_params_and_accuracy():
     before = {name: arr.copy() for name, arr in model.params.items()}
     data = synth_dataset(4, 2, 16)
     acc_before = pixel_accuracy(model, data)
-    report = train(model, data, TrainConfig(lr=0.0, momentum=0.9, steps=1, seed=4,
-                                            image_size=16, batch=2))
+    report = train(model, data, TrainConfig(lr=0.0, momentum=0.9, steps=1, batch=2))
     for name, arr in model.params.items():
         assert np.array_equal(arr, before[name]), name
     assert model.spa.lam == 0.0 and model.cpa.mu == 0.0
@@ -135,8 +134,7 @@ def test_gates_start_at_zero_and_move_when_loss_drops():
     model = build_model(21)
     assert model.spa.lam == 0.0 and model.cpa.mu == 0.0
     data = synth_dataset(21, 4, 16)
-    report = train(model, data, TrainConfig(lr=0.02, momentum=0.5, steps=20, seed=21,
-                                            image_size=16, batch=4))
+    report = train(model, data, TrainConfig(lr=0.02, momentum=0.5, steps=20, batch=4))
     assert report.loss_curve[-1] < report.loss_curve[0]
     assert abs(report.lambda_final) > 0.0
     assert abs(report.mu_final) > 0.0
@@ -161,20 +159,26 @@ def test_divergence_reports_step():
     model = build_model(3)
     data = synth_dataset(3, 2, 16)
     with pytest.raises(TrainingDivergenceError, match="step"):
-        train(model, data, TrainConfig(lr=1e100, momentum=0.9, steps=10, seed=3,
-                                       image_size=16, batch=2))
+        train(model, data, TrainConfig(lr=1e100, momentum=0.9, steps=10, batch=2))
 
 
 def test_train_config_validation():
     with pytest.raises(ConfigurationError):
-        TrainConfig(lr=0.1, momentum=0.9, steps=0, seed=1)
+        TrainConfig(lr=0.1, momentum=0.9, steps=0)
     with pytest.raises(ConfigurationError):
-        TrainConfig(lr=0.1, momentum=1.0, steps=1, seed=1)
+        TrainConfig(lr=0.1, momentum=1.0, steps=1)
+
+
+@pytest.mark.parametrize("rates", [{"lr": np.nan}, {"lr": np.inf}, {"lr": -np.inf},
+                                   {"lr": 0.1, "poly_power": np.nan},
+                                   {"lr": 0.1, "poly_power": np.inf}])
+def test_train_config_rejects_non_finite_rates(rates):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        TrainConfig(momentum=0.9, steps=1, **rates)
 
 
 def test_train_rejects_undersized_images():
-    model = build_model(2)  # toy-odd pyramid needs >= 5 pixels
-    data = synth_dataset(2, 1, 16)
-    with pytest.raises(ConfigurationError):
-        train(model, data, TrainConfig(lr=0.1, momentum=0.0, steps=1, seed=2,
-                                       image_size=4, batch=1))
+    model = build_model(2, odd_spec=PyramidSpec((1, 3, 9)))  # needs >= 9 pixels
+    data = synth_dataset(2, 1, 8)
+    with pytest.raises(ConfigurationError, match="image size 8 is below"):
+        train(model, data, TrainConfig(lr=0.1, momentum=0.0, steps=1, batch=1))

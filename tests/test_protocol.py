@@ -113,7 +113,7 @@ def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
     monkeypatch.setattr(network, "pixel_accuracy", lambda model, data: 0.0)
     model = build_model(5)
     train(model, synth_dataset(5, batch, 16),
-          TrainConfig(lr=0.05, momentum=0.9, steps=1, seed=5, image_size=16, batch=batch))
+          TrainConfig(lr=0.05, momentum=0.9, steps=1, batch=batch))
     assert calls["conv2d_same"] == 2 * batch
     assert calls["pyramid_pool"] == batch
     assert calls["max_over_rows"] == batch
