@@ -8,9 +8,10 @@ as O(T) noise. Each report counts what the forward runs: SPA pools its
 C-channel input before the key and value projections (once when the two
 pyramids match), so its projections cost 2*N*chat*C + 2*T*(chat*C + C^2).
 The paper's order, projecting every position first, costs what the
-non-local report's `flops_proj` holds. Absolute numbers are
-convention-dependent; the ratios (N/T core reduction, zero added
-parameters, attention-map bytes) are not.
+non-local report's `flops_proj` holds. CPA projects the C x C Gram matrix
+and its softmax map, not the input, so its projections cost 6*C^3.
+Absolute numbers are convention-dependent; the ratios (N/T core reduction,
+zero added parameters, attention-map bytes) are not.
 """
 
 from __future__ import annotations
@@ -122,7 +123,13 @@ def cost_spa(c: int, chat: int, h: int, w: int, k_spec: PyramidSpec, v_spec: Pyr
 
 
 def cost_cpa(c: int, h: int, w: int, with_proj: bool, dtype=np.float32) -> CostReport:
-    """C x C channel affinity: same op count for subtract and square modes."""
+    """C x C channel affinity: same op count for subtract and square modes.
+
+    The map is the Gram matrix X·Xᵀ (2*N*C^2) and the aggregation one C x C by
+    C x N product (2*N*C^2). The bias-free projections act on C x C matrices,
+    `W_q·G·W_kᵀ` and `attn·W_v`, so they cost three C^3 products (6*C^3), not
+    the 6*N*C^2 of projecting every position.
+    """
     n = h * w
     fmap = 2 * n * c * c
     fextra = 2 * c * c                       # column max + difference
@@ -130,7 +137,7 @@ def cost_cpa(c: int, h: int, w: int, with_proj: bool, dtype=np.float32) -> CostR
     fagg = 2 * n * c * c
     return CostReport(
         params=3 * c * c + 1 if with_proj else 1,
-        flops_proj=2 * n * 3 * c * c if with_proj else 0,
+        flops_proj=6 * c ** 3 if with_proj else 0,
         flops_pool=0,
         attn_map_bytes=c * c * dtype_size(dtype),
         shape=(c, c, h, w),

@@ -11,7 +11,11 @@
   N positions; only the queries are projected at every position.
 * channel pool attention (CPA): a C x C channel affinity is rebuilt from
   the max-minus-similarity difference (plain or squared) and reweights
-  channels through a second zero-initialized gate.
+  channels through a second zero-initialized gate. It needs the input only
+  through the C x C Gram matrix `G = X·Xᵀ` and one product with X, so the
+  bias-free projections act on C x C matrices: `d = W_q·G·W_kᵀ` and
+  `agg = (attn·W_v)·X` (`d = G`, `agg = attn·X` without projections). A
+  forward makes two C x N-wide products and a backward four.
 
 Every mechanism has one shape. Its `params` are a dict of its live arrays
 (`w_q`, `w_k`, `w_v` where it has projections, and the gate `lam` or `mu`
@@ -208,16 +212,6 @@ def _checked(grads: dict[str, np.ndarray], name: str) -> dict[str, np.ndarray]:
     return grads
 
 
-def _projection_backward(proj: ProjectionWeights, xf: np.ndarray, shape: tuple[int, ...],
-                         g: np.ndarray, d_q: np.ndarray, d_k: np.ndarray,
-                         d_v: np.ndarray) -> dict[str, np.ndarray]:
-    """Weight gradients of the three 1x1 projections, and `x` with the residual g added."""
-    d_x = (g + ops.matmul(proj.w_q.T, d_q) + ops.matmul(proj.w_k.T, d_k)
-           + ops.matmul(proj.w_v.T, d_v))
-    return {"w_q": ops.matmul(d_q, xf.T), "w_k": ops.matmul(d_k, xf.T),
-            "w_v": ops.matmul(d_v, xf.T), "x": d_x.reshape(shape)}
-
-
 # --- non-local baseline -------------------------------------------------
 # Its learnables are `{**proj.params, "lam": lam}`; there is no module object.
 
@@ -248,7 +242,10 @@ def nonlocal_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarra
     d_logits = ops.softmax_backward(attn, d_attn, axis=1, out=d_attn)
     d_alpha = ops.matmul(beta, d_logits.T)               # chat x N
     d_beta = ops.matmul(alpha, d_logits)                 # chat x N
-    return _checked({**_projection_backward(proj, xf, shape, g, d_alpha, d_beta, d_gamma),
+    d_x = (g + ops.matmul(proj.w_q.T, d_alpha) + ops.matmul(proj.w_k.T, d_beta)
+           + ops.matmul(proj.w_v.T, d_gamma))
+    return _checked({"w_q": ops.matmul(d_alpha, xf.T), "w_k": ops.matmul(d_beta, xf.T),
+                     "w_v": ops.matmul(d_gamma, xf.T), "x": d_x.reshape(shape),
                      "lam": d_lam}, "nonlocal")
 
 
@@ -325,45 +322,51 @@ def spa_backward(x: np.ndarray, m: SpaModule, grad_out: np.ndarray) -> dict[str,
 
 @_quiet
 def cpa_stages(x: np.ndarray, m: CpaModule):
-    """Channel reweighting through the max-difference affinity: (output, C x C map, cache)."""
+    """Channel reweighting through the max-difference affinity: (output, C x C map, cache).
+
+    The projections act on the C x C Gram matrix and map, not on the input.
+    """
     xf, c, h, w = _flatten(x, m.proj)
+    gram = _finite(ops.matmul(xf, xf.T), "cpa map")     # C x C channel similarity
+    instrument.add("map", 2 * xf.shape[1] * gram.size)
     if m.proj is None:
-        q = k = v = xf
+        d = gram
     else:
-        q = _project(m.proj.w_q, xf, "cpa")
-        k = _project(m.proj.w_k, xf, "cpa")
-        v = _project(m.proj.w_v, xf, "cpa")
-    d = _finite(ops.matmul(q, k.T), "cpa map")          # C x C channel similarity
-    instrument.add("map", 2 * q.shape[1] * d.size)
+        d = _project(_project(m.proj.w_q, gram, "cpa"), m.proj.w_k.T, "cpa")
     diff = ops.max_over_rows(d) - d                      # column max broadcast over rows, >= 0
     instrument.add("maxdiff", 2 * d.size)
     gated = diff * diff if m.mode is CpaMode.SQUARE else diff
     attn = ops.softmax(gated, axis=1)
     instrument.add("softmax", 5 * attn.size)
-    agg = ops.matmul(attn, v)                            # C x N
-    instrument.add("agg", 2 * v.shape[1] * attn.size)
+    mix = attn if m.proj is None else _project(attn, m.proj.w_v, "cpa")
+    agg = ops.matmul(mix, xf)                            # C x N
+    instrument.add("agg", 2 * xf.shape[1] * attn.size)
     out = _gate_forward(agg, m.mu, xf, "cpa").reshape(c, h, w)
-    return out, attn, (x.shape, xf, m, q, k, v, d, diff, attn, agg)
+    return out, attn, (x.shape, xf, m, gram, d, diff, attn, mix, agg)
 
 
 @_quiet
 def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    shape, xf, m, q, k, v, d, diff, attn, agg = cache
+    shape, xf, m, gram, d, diff, attn, mix, agg = cache
     g = _upstream(grad_out, shape, "cpa")
     d_mu, d_agg = _gate_backward(g, agg, m.mu)
-    d_attn = ops.matmul(d_agg, v.T)                      # C x C
-    d_v = ops.matmul(attn.T, d_agg)                      # C x N
+    d_mix = ops.matmul(d_agg, xf.T)                      # C x C
+    d_attn = d_mix if m.proj is None else ops.matmul(d_mix, m.proj.w_v.T)
     d_gated = ops.softmax_backward(attn, d_attn, axis=1)
     d_diff = 2.0 * diff * d_gated if m.mode is CpaMode.SQUARE else d_gated
     d_d = -d_diff
     # The broadcast column max routes its gradient to the (first) argmax row per column.
     argmax_rows = np.argmax(d, axis=0)
     d_d[argmax_rows, np.arange(d.shape[1])] += d_diff.sum(axis=0)
-    d_q = ops.matmul(d_d, k)                             # C x N
-    d_k = ops.matmul(d_d.T, q)                           # C x N
-    grads = ({"x": (g + d_q + d_k + d_v).reshape(shape)} if m.proj is None
-             else _projection_backward(m.proj, xf, shape, g, d_q, d_k, d_v))
-    return _checked({"mu": d_mu, **grads}, "cpa")
+    d_gram = d_d if m.proj is None else ops.matmul(ops.matmul(m.proj.w_q.T, d_d), m.proj.w_k)
+    # G = X·Xᵀ sends d_gram·X + d_gramᵀ·X to X; agg = mix·X sends mixᵀ·d_agg.
+    d_x = g + ops.matmul(d_gram, xf) + ops.matmul(d_gram.T, xf) + ops.matmul(mix.T, d_agg)
+    grads = {"mu": d_mu}
+    if m.proj is not None:
+        grads.update(w_q=ops.matmul(ops.matmul(d_d, m.proj.w_k), gram),
+                     w_k=ops.matmul(ops.matmul(d_d.T, m.proj.w_q), gram),
+                     w_v=ops.matmul(attn.T, d_mix))
+    return _checked({**grads, "x": d_x.reshape(shape)}, "cpa")
 
 
 def cpa_forward(x: np.ndarray, m: CpaModule) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,8 @@ Subcommands: flops, bench, equivalence, gradcheck, train-demo, coverage,
 attn. Reports are UTF-8 JSON, newline-terminated, written to stdout and
 optionally mirrored to --out. Exit codes: 0 success, 1 verification
 failure, 2 usage/format error, 3 resource limit exceeded; each error class in
-`errors` carries its own, and an OSError on an input or output path exits 2.
+`errors` carries its own, an OSError on an input or output path exits 2, and a
+MemoryError that escapes a subcommand exits 3.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from . import errors, harness, ops, threads
 from .attention import CpaMode, SpaMode
-from .errors import EXIT_OK, EXIT_USAGE, EXIT_VERIFY
+from .errors import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY
 from .pooling import parse_spec
 from .version import __version__
 
@@ -48,6 +49,15 @@ def _at_least(minimum: int):
 
 
 _positive = _at_least(1)
+
+
+def _finite_float(text: str) -> float:
+    """An argparse type for finite floats of any sign; anything else exits 2 with a
+    message."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value}")
+    return value
 
 
 def _positive_float(text: str) -> float:
@@ -121,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None,
                    help="spa: only-odd/only-even/mixed; cpa: subtract/square")
     p.add_argument("--with-proj", action="store_true", help="cpa: include projections")
-    p.add_argument("--size", type=int, default=8, help="network: image size")
+    p.add_argument("--size", type=_positive, default=8, help="network: image size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=_positive_float, default=1e-5, help="finite-difference step")
     p.add_argument("--tol", type=_positive_float, default=1e-4)
@@ -129,14 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-demo", help="train the toy two-branch network")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--size", type=int, default=16)
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--size", type=_positive, default=16)
+    p.add_argument("--steps", type=_positive, default=300)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--poly-power", type=float, default=None,
                    help="enable poly lr decay with this power (paper value 0.9)")
-    p.add_argument("--count", type=int, default=4, help="synthetic samples")
-    p.add_argument("--batch", type=int, default=4)
+    p.add_argument("--count", type=_positive, default=4, help="synthetic samples")
+    p.add_argument("--batch", type=_positive, default=4)
     p.add_argument("--spa-mode", choices=[m.value for m in SpaMode], default="only-odd")
     p.add_argument("--spec", default="toy-odd")
     p.add_argument("--cpa-mode", choices=[m.value for m in CpaMode], default="subtract")
@@ -160,8 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-v", default="paper-odd")
     p.add_argument("--cpa-mode", choices=[m.value for m in CpaMode], default="subtract")
     p.add_argument("--with-proj", action="store_true")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--lam", type=_finite_float, default=1.0,
+                   help="spa/nonlocal gate, any finite value (0 is the closed gate)")
+    p.add_argument("--mu", type=_finite_float, default=1.0,
+                   help="cpa gate, any finite value (0 is the closed gate)")
     p.add_argument("--mem-limit", type=_positive, default=None,
                    help="abort (exit 3) before the forward if the module's attention map "
                         "exceeds this many bytes")
@@ -285,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:        # an unreadable --input or unwritable --out*
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:    # an allocation no size check caught beforehand
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

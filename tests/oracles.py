@@ -1,12 +1,16 @@
 """Independent brute-force oracles: explicit Python loops, no library code paths.
 
 Everything here recomputes the mechanisms from first principles so the
-tests compare two genuinely different derivations.
+tests compare two genuinely different derivations. `direct_cpa` alone calls
+the library's primitives: it differs from the library in its algebra, and
+keeps their bits so the two can be compared byte for byte.
 """
 
 import math
 
 import numpy as np
+
+from poolattn import ops
 
 
 def loop_matmul(a, b):
@@ -243,3 +247,48 @@ def project_then_pool_spa(x, w_q, w_k, w_v, lam, k_sizes, v_sizes, grad_out):
              "x": (g + w_q.T @ d_q + w_k.T @ d_k + w_v.T @ d_v).reshape(c, h, w),
              "lam": float(np.sum(g * agg))}
     return out.reshape(c, h, w), attn, grads
+
+
+def direct_cpa(x, m, grad_out):
+    """CPA with q, k and v projected at every position, forward and backward.
+    Returns (out, attn, gradients keyed like `m.params` plus x).
+
+    The library forms the C x C Gram matrix and projects C x C matrices; the two
+    agree because the 1x1 projections have no bias, and without projections they
+    make the same BLAS calls in the same order.
+    """
+    c, h, w = x.shape
+    xf = x.reshape(c, h * w)
+    if m.proj is None:
+        q = k = v = xf
+    else:
+        q = ops.matmul(m.proj.w_q, xf)
+        k = ops.matmul(m.proj.w_k, xf)
+        v = ops.matmul(m.proj.w_v, xf)
+    d = ops.matmul(q, k.T)
+    diff = ops.max_over_rows(d) - d
+    gated = diff * diff if m.mode.value == "square" else diff
+    attn = ops.softmax(gated, axis=1)
+    agg = ops.matmul(attn, v)
+    out = (agg * agg.dtype.type(m.mu) + xf).reshape(c, h, w)
+
+    g = grad_out.reshape(c, -1)
+    d_mu, d_agg = np.asarray(np.sum(g * agg), dtype=np.float64), g * g.dtype.type(m.mu)
+    d_attn = ops.matmul(d_agg, v.T)
+    d_v = ops.matmul(attn.T, d_agg)
+    d_gated = ops.softmax_backward(attn, d_attn, axis=1)
+    d_diff = 2.0 * diff * d_gated if m.mode.value == "square" else d_gated
+    d_d = -d_diff
+    argmax_rows = np.argmax(d, axis=0)
+    d_d[argmax_rows, np.arange(d.shape[1])] += d_diff.sum(axis=0)
+    d_q = ops.matmul(d_d, k)
+    d_k = ops.matmul(d_d.T, q)
+    if m.proj is None:
+        grads = {"x": (g + d_q + d_k + d_v).reshape(x.shape)}
+    else:
+        p = m.proj
+        d_x = (g + ops.matmul(p.w_q.T, d_q) + ops.matmul(p.w_k.T, d_k)
+               + ops.matmul(p.w_v.T, d_v))
+        grads = {"w_q": ops.matmul(d_q, xf.T), "w_k": ops.matmul(d_k, xf.T),
+                 "w_v": ops.matmul(d_v, xf.T), "x": d_x.reshape(x.shape)}
+    return out, attn, {"mu": d_mu, **grads}

@@ -98,6 +98,20 @@ def test_cpa_parameter_counts_and_bytes():
     assert cost_cpa(64, 96, 96, with_proj=False, dtype=np.float32).attn_map_bytes == 16384
 
 
+def test_cpa_projections_cost_three_channel_products_at_paper_shape():
+    # W_q·G·W_kᵀ and attn·W_v: three 64^3 products, where projecting all N = 9216
+    # positions cost 226,492,416. The map and the aggregation stay 2*N*C^2 each.
+    rng = Rng(9)
+    x = rng.fill_uniform((64, 96, 96), 1.0, np.float32)
+    m = CpaModule(init_projection(rng, 64, None, np.float32), CpaMode.SUBTRACT, 1.0)
+    cost = cost_cpa(64, 96, 96, with_proj=True)
+    with instrument.counting() as tally:
+        cpa_forward(x, m)
+    assert tally["proj"] == cost.flops_proj == 1_572_864
+    assert tally["map"] == cost.flops_map == tally["agg"] == cost.flops_agg == 75_497_472
+    assert cost_cpa(64, 96, 96, with_proj=False).flops_proj == 0
+
+
 def test_params_match_module_enumeration():
     rng = Rng(1)
     spec = PyramidSpec((1, 2))

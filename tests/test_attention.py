@@ -15,7 +15,8 @@ from poolattn.errors import ConfigurationError, DimensionError, PoolSizeError
 from poolattn.pooling import PAPER_EVEN, PAPER_ODD, PyramidSpec, anchor_count
 from poolattn.rng import Rng
 
-from oracles import loop_cpa, loop_nonlocal, project_then_pool_spa, unflushed_softmax
+from oracles import (direct_cpa, loop_cpa, loop_nonlocal, project_then_pool_spa,
+                     unflushed_softmax)
 
 
 def _random_case(seed, c, size, chat=None):
@@ -281,6 +282,73 @@ def test_cpa_matches_loop_oracle(mode, with_proj):
         assert np.max(np.abs(attn - oracle_attn)) < 1e-12
 
 
+def _cpa_run(x, m, g):
+    """(out, map, gradients) of the library CPA, the backward from the forward cache."""
+    out, attn, cache = cpa_stages(x, m)
+    return out, attn, cpa_stages_backward(cache, g)
+
+
+def _rel_errors(got, ref, x):
+    """Per output, the largest deviation from `ref` over a scale: for the map its
+    largest entry, for out that of out or x (out = mu·agg + x can cancel), for each
+    gradient the largest entry of any gradient.
+
+    When the max-difference map saturates, the w_q and w_k gradients are a remainder
+    many orders below the others and carry the rounding of the larger terms: f32
+    against f64 they differ by up to 14x their own size in the direct form too.
+    """
+    assert list(got[2]) == list(ref[2])
+    grad_scale = max(float(np.max(np.abs(v))) for v in ref[2].values())
+    scales = {"out": float(max(np.max(np.abs(ref[0])), np.max(np.abs(x)))),
+              "attn": float(np.max(np.abs(ref[1])))}
+    pairs = [("out", got[0], ref[0]), ("attn", got[1], ref[1]),
+             *((k, got[2][k], v) for k, v in ref[2].items())]
+    return {key: float(np.max(np.abs(a.astype(np.float64) - b)))
+            / max(scales.get(key, grad_scale), np.finfo(np.float64).tiny)
+            for key, a, b in pairs}
+
+
+@pytest.mark.parametrize("dtype", [ops.F32, ops.F64], ids=["f32", "f64"])
+@pytest.mark.parametrize("mode", list(CpaMode), ids=[m.value for m in CpaMode])
+def test_projection_free_cpa_is_bitwise_the_direct_form(dtype, mode):
+    # Without projections the Gram-matrix algebra makes the same BLAS calls in the
+    # same order as projecting q = k = v = X, so every output keeps its bits.
+    rng = Rng(34)
+    for shape in ((1, 2, 3), (3, 4, 5), (16, 24, 24), (64, 96, 96)):
+        x = rng.fill_uniform(shape, 1.0, dtype)
+        g = rng.fill_uniform(shape, 1.0, dtype)
+        m = CpaModule(None, mode, 0.5 + rng.next_unit())
+        out, attn, grads = _cpa_run(x, m, g)
+        ref_out, ref_attn, ref_grads = direct_cpa(x, m, g)
+        assert list(grads) == list(ref_grads) == ["mu", "x"]
+        for got, ref in ((out, ref_out), (attn, ref_attn),
+                         *((grads[k], ref_grads[k]) for k in ref_grads)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), shape
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 8), st.sampled_from(list(CpaMode)),
+       st.integers(0, 2**32 - 1))
+def test_projected_cpa_matches_the_direct_form_property(c, h, w, mode, seed):
+    # W_q·G·W_kᵀ and (attn·W_v)·X regroup the products of projecting every position:
+    # in f64 every output is within 1e-12 of the direct form (relative as `_rel_errors`
+    # says). The f32 run on the same inputs stays within ~1000 f32 ulps of its f64 twin
+    # (out, map) and within the package's 1e-3 rule (gradients).
+    rng = Rng(seed)
+    x32 = rng.fill_uniform((c, h, w), 1.0, ops.F32)
+    g32 = rng.fill_uniform((c, h, w), 1.0, ops.F32)
+    proj32 = init_projection(rng, c, None, ops.F32)
+    mu = 0.5 + rng.next_unit()
+    proj64 = ProjectionWeights(*(w.astype(np.float64) for w in proj32.params.values()))
+    m64, m32 = CpaModule(proj64, mode, mu), CpaModule(proj32, mode, mu)
+    x64, g64 = x32.astype(np.float64), g32.astype(np.float64)
+    got64 = _cpa_run(x64, m64, g64)
+    for key, err in _rel_errors(got64, direct_cpa(x64, m64, g64), x64).items():
+        assert err <= 1e-12, key
+    for key, err in _rel_errors(_cpa_run(x32, m32, g32), got64, x64).items():
+        assert err <= (1e-4 if key in ("out", "attn") else 1e-3), key
+
+
 def test_cpa_rows_are_stochastic():
     rng = Rng(32)
     x = rng.fill_uniform((5, 4, 4), 1.0)
@@ -478,6 +546,11 @@ def test_attention_maps_are_held_once(monkeypatch, dtype):
     assert peak(lambda: nonlocal_forward(x, proj, 1.0)) < 1.1 * n_map
     assert peak(lambda: nonlocal_backward(x, proj, 1.0, g)) < 2.5 * n_map
     assert peak(lambda: spa_forward(x, spa)) < 2.0 * t_map
+    # Projected CPA holds no C x N q, k or v: its backward peaks at about 5.1 C x N
+    # arrays (the aggregation, its gradient and the input-gradient sum), 11.1 while
+    # it projected every position.
+    cpa = CpaModule(proj, CpaMode.SUBTRACT, 1.0)
+    assert peak(lambda: cpa_backward(x, cpa, g)) < 6 * c * n * dtype.itemsize
     # The T x N map is one softmax slice at this shape, so softmax_backward's product
     # temporary would be a third map; smaller slices leave the maps the backward holds.
     monkeypatch.setattr(ops, "_SLICE", 1 << 14)

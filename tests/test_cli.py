@@ -430,6 +430,10 @@ def test_thread_cap_is_applied_and_reported_or_rejected(raw):
                      "--out-attn", "a.dpt", "--mem-limit", "0"]),
     ("--mem-limit", ["attn", "--input", "x.dpt", "--module", "cpa", "--out-tensor", "o.dpt",
                      "--out-attn", "a.dpt", "--mem-limit", "-5"]),
+    ("--size", ["train-demo", "--size", "0"]),
+    ("--count", ["train-demo", "--count", "0"]),
+    ("--batch", ["train-demo", "--batch", "-1"]),
+    ("--size", ["gradcheck", "--kind", "network", "--size", "0"]),
 ])
 def test_bad_integer_flag_exits_2(flag, args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -448,6 +452,10 @@ def test_bad_integer_flag_exits_2(flag, args, capsys):
     ("--h", ["gradcheck", "--kind", "cpa", "--h", "0"]),
     ("--h", ["gradcheck", "--kind", "cpa", "--h", "-0.001"]),
     ("--h", ["gradcheck", "--kind", "cpa", "--h", "inf"]),
+    ("--lam", ["attn", "--input", "x.dpt", "--module", "spa", "--out-tensor", "o.dpt",
+               "--out-attn", "a.dpt", "--lam", "nan"]),
+    ("--mu", ["attn", "--input", "x.dpt", "--module", "cpa", "--out-tensor", "o.dpt",
+              "--out-attn", "a.dpt", "--mu", "inf"]),
 ])
 def test_bad_float_flag_exits_2(flag, args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -455,6 +463,14 @@ def test_bad_float_flag_exits_2(flag, args, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+def test_attn_gates_take_any_finite_value():
+    # A gate of 0 is closed, and either sign is a valid gate.
+    args = cli.build_parser().parse_args(
+        ["attn", "--input", "x.dpt", "--module", "cpa", "--out-tensor", "o.dpt",
+         "--out-attn", "a.dpt", "--lam", "-0.5", "--mu", "0"])
+    assert (args.lam, args.mu) == (-0.5, 0.0)
 
 
 def _former_tracebacks(tmp_path):
@@ -488,6 +504,9 @@ def _former_tracebacks(tmp_path):
         "train-lr-inf": (["train-demo", "--lr", "inf"], 2, "lr must be finite"),
         "train-poly-power-nan": (["train-demo", "--poly-power", "nan"], 2,
                                  "poly_power must be finite"),
+        # The first image alone would be 71.1 PiB: numpy refuses it at once.
+        "train-size-oversized": (["train-demo", "--steps", "1", "--size", "100000000"], 3,
+                                 "Unable to allocate"),
     }
 
 
@@ -496,7 +515,7 @@ def _former_tracebacks(tmp_path):
                                   "attn-out-tensor-dir", "attn-json-list-dtype",
                                   "gradcheck-spa-bad-mode",
                                   "gradcheck-cpa-spa-mode", "train-lr-nan", "train-lr-inf",
-                                  "train-poly-power-nan"])
+                                  "train-poly-power-nan", "train-size-oversized"])
 def test_former_traceback_exits_with_its_code(tmp_path, case):
     args, code, names = _former_tracebacks(tmp_path)[case]
     out = run_cli(*args)
@@ -525,6 +544,15 @@ def test_every_error_class_has_an_exit_code_main_returns(cls, monkeypatch, capsy
     monkeypatch.setattr(cli, "_run", raising)
     assert cli.main(["flops", "--hw", "8"]) == cls.exit_code
     assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    def raising(args, parser):
+        raise MemoryError("Unable to allocate 1.0 PiB")
+
+    monkeypatch.setattr(cli, "_run", raising)
+    assert cli.main(["flops", "--hw", "8"]) == 3
+    assert capsys.readouterr().err == "error: Unable to allocate 1.0 PiB\n"
 
 
 def test_version_flag():
