@@ -186,9 +186,12 @@ def _project(w: np.ndarray, x_flat: np.ndarray, name: str) -> np.ndarray:
 
 
 def _gate_forward(agg: np.ndarray, gate: np.ndarray | float, xf: np.ndarray, name: str):
-    """Check agg, then give the residual output `gate * agg + x`, checked."""
+    """Check agg, then give the residual output `gate * agg + x` (row-major), checked;
+    x is added in place, so no C x N temporary is made."""
     _finite(agg, f"{name} agg")
-    return _finite(agg * agg.dtype.type(gate) + xf, f"{name} out")
+    out = np.multiply(agg, agg.dtype.type(gate), order="C")
+    out += xf
+    return _finite(out, f"{name} out")
 
 
 def _upstream(grad_out: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -359,8 +362,12 @@ def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     argmax_rows = np.argmax(d, axis=0)
     d_d[argmax_rows, np.arange(d.shape[1])] += d_diff.sum(axis=0)
     d_gram = d_d if m.proj is None else ops.matmul(ops.matmul(m.proj.w_q.T, d_d), m.proj.w_k)
-    # G = X·Xᵀ sends d_gram·X + d_gramᵀ·X to X; agg = mix·X sends mixᵀ·d_agg.
-    d_x = g + ops.matmul(d_gram, xf) + ops.matmul(d_gram.T, xf) + ops.matmul(mix.T, d_agg)
+    # G = X·Xᵀ sends d_gram·X + d_gramᵀ·X to X; agg = mix·X sends mixᵀ·d_agg. Summed in
+    # place, in the order g + ...: A + g is g + A bit for bit.
+    d_x = ops.matmul(d_gram, xf)
+    d_x += g
+    d_x += ops.matmul(d_gram.T, xf)
+    d_x += ops.matmul(mix.T, d_agg)
     grads = {"mu": d_mu}
     if m.proj is not None:
         grads.update(w_q=ops.matmul(ops.matmul(d_d, m.proj.w_k), gram),

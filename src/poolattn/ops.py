@@ -13,6 +13,12 @@ and checks each output once. softmax's input check is the attention map's, and
 cross_entropy_logits and sgd_step are training's loss and update stages. So a
 public entry point still raises NonFiniteError on NaN/Inf anywhere.
 
+softmax makes six passes over each slice of its map: line max, slice min,
+subtract, exp, sum, divide. The two extremes are its input check, and they bound
+the smallest weight from below, so the subnormal flush runs only on a slice where
+a weight can fall below tiny. softmax_backward along axis 0 adds its products one
+row at a time, in numpy's order, and holds no slice-sized product.
+
 matmul delegates to numpy's BLAS. It must stay within 1e-12 relative of
 the index-ascending reference (`tests/oracles.py` `loop_matmul`) and is
 bitwise reproducible call-to-call on one machine. Its operands may be
@@ -33,8 +39,12 @@ F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
 DTYPES = {"f32": F32, "f64": F64}      # the names flags, files and reports use
 _ALLOWED = tuple(DTYPES.values())
-# Entries per slice of the softmax walks: 4 MiB in f32, so each pass over a slice
-# finds it still in L2; one slice for a C x C map up to C = 1024.
+# Entries per slice of the softmax walks; one slice holds a C x C map up to C = 1024.
+# A slice is 4 MiB in f32 and 8 MiB in f64, more than a 2 MiB per-core L2. Every
+# size gives the same bits, and 2^20 is kept because smaller slices measured no
+# faster along rows and slower along columns, where each slice costs numpy calls
+# per line: at 2^17 SPA's 325 x 9216 f32 softmax took 18 ms, not 12, and its
+# backward 28, not 10 (one BLAS thread, 2-vCPU x86-64).
 _SLICE = 1 << 20
 
 def _quiet(fn):
@@ -137,23 +147,34 @@ def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarr
     with finite input the max entry adds exp(0) = 1 to each sum.
 
     The map is walked in slices of whole rows (axis=1) or columns (axis=0) of at
-    most 2^20 entries; check, max, subtract, exp, sum, divide and flush each run
-    on one slice while it is in cache. Each line is reduced in the order numpy
-    uses on the whole map, so the result is the same bit for bit. The weights
-    go to `out`, a new array laid out like `a` by default; `out` may be `a`
-    itself. A non-finite input raises when its slice is reached, so earlier
-    slices of `out` may already hold weights.
+    most _SLICE entries; six passes run on one slice while it is in cache: each
+    line's max, the slice's min, subtract, exp, sum and divide. Each line is
+    reduced in the order numpy uses on the whole map, so the result is the same
+    bit for bit. The two extremes are the input check: a NaN or +inf makes its
+    line's max NaN or +inf, a NaN or -inf makes the min NaN or -inf. They also
+    bound every weight from below: with `low` the slice's min, `top` its largest
+    line max and `length` a line's length, a weight is exp(x - max) / sum >=
+    exp(low - top) / length to within a few ulps, as each of the `length` terms
+    of a sum is at most 1. So when exp(low - top) >= 4 * tiny * length no weight
+    of the slice is below tiny, and the flush (a compare and a masked store)
+    would change nothing and is skipped; otherwise it runs.
+
+    The weights go to `out`, a new array laid out like `a` by default; `out` may
+    be `a` itself. A non-finite input raises when its slice is reached, so
+    earlier slices of `out` may already hold weights.
     """
     _rank2(a, "softmax")
     out = _out_like(a, out, "softmax")
-    tiny = np.finfo(a.dtype).tiny
+    tiny = float(np.finfo(a.dtype).tiny)
     for part in _slices(a.shape, axis):
         src, dst = a[part], out[part]
-        _finite(src, "softmax input")
-        np.subtract(src, src.max(axis=axis, keepdims=True), out=dst)
+        peaks = src.max(axis=axis, keepdims=True)
+        top, low = _finite(np.array([peaks.max(), src.min()], F64), "softmax input").tolist()
+        np.subtract(src, peaks, out=dst)
         np.exp(dst, out=dst)
         dst /= dst.sum(axis=axis, keepdims=True)
-        dst[dst < tiny] = 0
+        if math.exp(low - top) < 4 * tiny * src.shape[axis]:
+            dst[dst < tiny] = 0
     return out
 
 
@@ -163,17 +184,29 @@ def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int,
     s * (grad - sum(grad * s)).
 
     Walks the same slices as `softmax`, each line's sum in the whole map's
-    order, so the result is the same bit for bit. It goes to `out`, a new array
-    laid out like `grad` by default; `out` may be `grad` itself (not `s`). The
-    result is not checked: it flows into the gradients its stage checks.
+    order, so the result is the same bit for bit. Along axis 0 on row-major
+    operands of two or more columns numpy sums a slice's products row after row,
+    so they are added one row at a time in that order and no slice-sized product
+    is held (one slice is the whole T x N map of a 48 x 48 SPA). Elsewhere (axis
+    1, column-major, a single column) a slice's products are formed whole and
+    summed as numpy sums them. The result goes to `out`, a new array laid out
+    like `grad` by default; `out` may be `grad` itself (not `s`). It is not
+    checked: it flows into the gradients its stage checks.
     """
     if s.ndim != 2 or grad.shape != s.shape or grad.dtype != s.dtype:
         raise DimensionError(f"softmax_backward: grad {grad.shape} {grad.dtype} and output "
                              f"{s.shape} {s.dtype} must share one rank-2 shape and dtype")
     out = _out_like(grad, out, "softmax_backward")
+    by_rows = (axis == 0 and s.shape[1] > 1 and s.flags.c_contiguous
+               and grad.flags.c_contiguous)
     for part in _slices(s.shape, axis):
         src, g, dst = s[part], grad[part], out[part]
-        inner = (g * src).sum(axis=axis, keepdims=True)
+        if by_rows:
+            inner = g[0] * src[0]
+            for row in range(1, len(src)):
+                inner += g[row] * src[row]
+        else:
+            inner = (g * src).sum(axis=axis, keepdims=True)
         np.subtract(g, inner, out=dst)
         dst *= src
     return out

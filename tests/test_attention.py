@@ -517,14 +517,16 @@ def _pool2(flat):
 
 
 @pytest.mark.parametrize("dtype", [ops.F32, ops.F64], ids=["f32", "f64"])
-def test_attention_maps_are_held_once(monkeypatch, dtype):
+def test_attention_maps_are_held_once(dtype):
     # tracemalloc sees numpy's buffers. At 8 x 48 x 48 an N x N map (N = 2304) dwarfs
     # every other array, so the peak counts the maps alive at once. While the softmax
     # copied its logits these read about 2.0 (forward), 4.0 (backward) and 2.1-2.6
     # T x N maps (SPA forward). While matmul checked the logits whole, its N x N bool
     # temporary put the forward at 1.26 (f32) and 1.14 (f64) maps; now about 1.06 / 1.04.
     # While the backwards copied the transposed map gradient, non-local read 3.02 maps
-    # and SPA 3.09 T x N maps; now about 2.2 and 2.2: the map and its gradient.
+    # and SPA 3.09 T x N maps; now about 2.2 and 2.2: the map and its gradient. The
+    # T x N map is one softmax slice at this shape: while softmax_backward formed the
+    # slice's products whole, they were a third map (3.1).
     rng = Rng(3)
     c, hw = 8, 48
     x = rng.fill_uniform((c, hw, hw), 1.0, dtype)
@@ -546,12 +548,13 @@ def test_attention_maps_are_held_once(monkeypatch, dtype):
     assert peak(lambda: nonlocal_forward(x, proj, 1.0)) < 1.1 * n_map
     assert peak(lambda: nonlocal_backward(x, proj, 1.0, g)) < 2.5 * n_map
     assert peak(lambda: spa_forward(x, spa)) < 2.0 * t_map
-    # Projected CPA holds no C x N q, k or v: its backward peaks at about 5.1 C x N
+    # Projected CPA holds no C x N q, k or v: its backward peaks at about 4.1 C x N
     # arrays (the aggregation, its gradient and the input-gradient sum), 11.1 while
-    # it projected every position.
+    # it projected every position and 5.1 while it summed the input gradient into new
+    # arrays. Its forward holds the aggregation and the output, about 2.2-2.3; 3.0
+    # while the gate made `gate * agg` apart from the output.
     cpa = CpaModule(proj, CpaMode.SUBTRACT, 1.0)
-    assert peak(lambda: cpa_backward(x, cpa, g)) < 6 * c * n * dtype.itemsize
-    # The T x N map is one softmax slice at this shape, so softmax_backward's product
-    # temporary would be a third map; smaller slices leave the maps the backward holds.
-    monkeypatch.setattr(ops, "_SLICE", 1 << 14)
+    c_n = c * n * dtype.itemsize
+    assert peak(lambda: cpa_forward(x, cpa)) < 2.5 * c_n
+    assert peak(lambda: cpa_backward(x, cpa, g)) < 5 * c_n
     assert peak(lambda: spa_backward(x, spa, g)) < 2.5 * t_map

@@ -214,6 +214,52 @@ def test_softmax_rejects_nonfinite_input(bad):
             ops.softmax(a, axis=axis)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.sampled_from(["C", "F"]),
+       st.integers(0, 1), st.integers(1, 30), st.integers(1, 30), st.integers(1, 200),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2**32 - 1), st.data())
+def test_softmax_one_nonfinite_entry_anywhere_raises(dtype, order, axis, m, n, slice_entries,
+                                                     bad, seed, data):
+    # The input check is each line's max (NaN, +inf) and each slice's min (NaN, -inf).
+    a = np.asarray(Rng(seed).fill_uniform((m, n), 50.0, dtype), order=order)
+    a[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))] = bad
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ops, "_SLICE", slice_entries)
+        for out in (None, np.empty_like(a)):
+            with pytest.raises(NonFiniteError, match="softmax input"):
+                ops.softmax(a, axis=axis, out=out)
+        in_place = a.copy(order="K")
+        with pytest.raises(NonFiniteError, match="softmax input"):
+            ops.softmax(in_place, axis=axis, out=in_place)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["below tiny", "above tiny", "below skip", "at or above skip"])
+def test_softmax_flush_and_its_skip_at_their_boundaries_match_whole_map_bitwise(dtype, case):
+    # Lines of zeros, one entry d in one of them: that line's weight exp(d) / (length - 1
+    # + exp(d)) is the smallest, with low - top = d. The flush is skipped where
+    # exp(d) >= 4 * tiny * length and runs elsewhere; either way the bits are those of
+    # the whole map flushed.
+    tiny = float(np.finfo(dtype).tiny)
+    length = 64
+    exp_d = {"below tiny": tiny * (length - 1) * 0.99, "above tiny": tiny * (length - 1) * 1.01,
+             "below skip": 4 * tiny * length * 0.99,
+             "at or above skip": 4 * tiny * length * 1.01}[case]
+    a = np.zeros((6, length), dtype)
+    a[3, 5] = math.log(exp_d)
+    d = float(a[3, 5])
+    assert (math.exp(d) >= 4 * tiny * length) == (case == "at or above skip")
+    smallest = unflushed_softmax(a, axis=1)[3, 5]
+    assert (smallest < tiny) == (case == "below tiny")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ops, "_SLICE", 2 * length)     # three slices, one holding d
+        for m, axis in ((a, 1), (np.ascontiguousarray(a.T), 0)):
+            ref = _flushed_softmax(m, axis)
+            assert np.array_equal(ops.softmax(m, axis=axis), ref)
+            in_place = m.copy()
+            assert np.array_equal(ops.softmax(in_place, axis=axis, out=in_place), ref)
+
+
 # --- convolutions ----------------------------------------------------------
 
 def test_conv1x1_identity_kernel():
