@@ -336,7 +336,7 @@ def cpa_stages(x: np.ndarray, m: CpaModule):
         d = gram
     else:
         d = _project(_project(m.proj.w_q, gram, "cpa"), m.proj.w_k.T, "cpa")
-    diff = ops.max_over_rows(d) - d                      # column max broadcast over rows, >= 0
+    diff = d.max(axis=0, keepdims=True) - d              # column max broadcast over rows, >= 0
     instrument.add("maxdiff", 2 * d.size)
     gated = diff * diff if m.mode is CpaMode.SQUARE else diff
     attn = ops.softmax(gated, axis=1)

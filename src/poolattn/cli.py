@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive, default=4, help="synthetic samples")
     p.add_argument("--batch", type=_positive, default=4)
     p.add_argument("--spa-mode", choices=[m.value for m in SpaMode], default="only-odd")
-    p.add_argument("--spec", default="toy-odd")
+    p.add_argument("--spec", default=None, help="only-odd/only-even pyramid (default toy-odd)")
     p.add_argument("--cpa-mode", choices=[m.value for m in CpaMode], default="subtract")
     p.add_argument("--out", default=None)
 
@@ -236,9 +236,12 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
     if args.command == "gradcheck":
         config: dict = {}
         if args.kind in ("nonlocal", "spa", "cpa"):
-            config = {"c": args.c, "h": args.hw, "w": args.hw}
+            config = {"c": args.c, "height": args.hw, "width": args.hw}
             if args.chat is not None:
                 config["chat"] = args.chat
+        if args.spec_even is not None and (args.kind, args.mode) != ("spa", "mixed"):
+            raise errors.ConfigurationError("--spec-even is the even pyramid of "
+                                            "--kind spa --mode mixed only")
         if args.kind == "spa":
             spec = parse_spec(args.spec)
             mode = args.mode or "only-odd"

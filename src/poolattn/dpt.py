@@ -28,22 +28,20 @@ from .ops import DTYPES
 
 MAGIC = b"DPTENSOR"
 VERSION = 1
-_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_CODES_BY_KIND = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))     # indexed by the dtype code
 
 
 def write_dpt(path: str | Path, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr)
-    if arr.dtype not in _CODES_BY_KIND:
+    if arr.dtype not in _DTYPES:
         raise DptFormatError(f"DPT stores float32/float64 only, got {arr.dtype}")
     if not 1 <= arr.ndim <= 4:
         raise DptFormatError(f"DPT stores rank 1..4, got rank {arr.ndim}")
-    code = _CODES_BY_KIND[arr.dtype]
-    header = MAGIC + struct.pack("<BBB", VERSION, code, arr.ndim)
+    header = MAGIC + struct.pack("<BBB", VERSION, _DTYPES.index(arr.dtype), arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     with open(path, "wb") as f:       # the payload goes from the array's own buffer
         f.write(header)
-        f.write(memoryview(arr.astype(_DTYPE_CODES[code], copy=False)))
+        f.write(memoryview(arr.astype(arr.dtype.newbyteorder("<"), copy=False)))
 
 
 def read_dpt(path: str | Path) -> np.ndarray:
@@ -58,7 +56,7 @@ def _parse_dpt(path: str | Path, raw: bytes) -> np.ndarray:
     version, code, rank = struct.unpack("<BBB", raw[8:11])
     if version != VERSION:
         raise DptFormatError(f"{path}: unsupported version {version}")
-    if code not in _DTYPE_CODES:
+    if code >= len(_DTYPES):
         raise DptFormatError(f"{path}: unknown dtype code {code}")
     if not 1 <= rank <= 4:
         raise DptFormatError(f"{path}: rank {rank} outside 1..4")
@@ -68,14 +66,13 @@ def _parse_dpt(path: str | Path, raw: bytes) -> np.ndarray:
     dims = struct.unpack(f"<{rank}I", raw[11:dims_end])
     if any(d < 1 for d in dims):
         raise DptFormatError(f"{path}: dims must be >= 1, got {dims}")
-    dtype = _DTYPE_CODES[code]
+    dtype = _DTYPES[code]
     expected = math.prod(dims) * dtype.itemsize
     if len(raw) - dims_end != expected:
         raise DptFormatError(f"{path}: payload length mismatch, expected {expected} bytes, "
                              f"got {len(raw) - dims_end}")
-    values = np.frombuffer(raw, dtype=dtype, offset=dims_end)
-    native = np.dtype(np.float32) if code == 0 else np.dtype(np.float64)
-    return values.astype(native, copy=True).reshape(dims)
+    values = np.frombuffer(raw, dtype=dtype.newbyteorder("<"), offset=dims_end)
+    return values.astype(dtype, copy=True).reshape(dims)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

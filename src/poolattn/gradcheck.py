@@ -120,7 +120,7 @@ def check_module(kind: str, config: dict, seed: int = 0, h: float = 1e-5,
 # forward on them and `backward(g)` returns gradients keyed like `targets`.
 
 def _dims(config: dict) -> tuple[int, int, tuple[int, int]]:
-    return config["c"], config.get("chat", config["c"]), (config["h"], config["w"])
+    return config["c"], config.get("chat", config["c"]), (config["height"], config["width"])
 
 
 def _gate(config: dict, key: str, rng: Rng) -> float:
@@ -161,7 +161,6 @@ def _cpa_case(config, rng, seed):
 def _network_case(config, rng, seed):
     size = config.get("size", 8)
     model = network.build_model(seed, channels=config.get("channels", 16),
-                                classes=config.get("classes", 2),
                                 odd_spec=PyramidSpec(tuple(config.get("odd", (1, 3)))))
     model.spa.lam[...] = 0.5 + rng.next_unit()
     model.cpa.mu[...] = 0.5 + rng.next_unit()
@@ -177,27 +176,27 @@ _CASES = {"nonlocal": _nonlocal_case, "spa": _spa_case, "cpa": _cpa_case,
 # The fixed verification matrix: every mechanism, every mode, reduced and
 # full channel widths, and the assembled network.
 MANIFEST: tuple[tuple[str, str, dict], ...] = (
-    ("nonlocal-c2-3x3", "nonlocal", {"c": 2, "chat": 2, "h": 3, "w": 3}),
-    ("nonlocal-c4-5x5-reduced", "nonlocal", {"c": 4, "chat": 3, "h": 5, "w": 5}),
+    ("nonlocal-c2-3x3", "nonlocal", {"c": 2, "chat": 2, "height": 3, "width": 3}),
+    ("nonlocal-c4-5x5-reduced", "nonlocal", {"c": 4, "chat": 3, "height": 5, "width": 5}),
     ("spa-onlyodd-c4-6x6", "spa",
-     {"c": 4, "chat": 4, "h": 6, "w": 6, "mode": "only-odd", "odd": (1, 3)}),
+     {"c": 4, "chat": 4, "height": 6, "width": 6, "mode": "only-odd", "odd": (1, 3)}),
     ("spa-onlyodd-c2-5x5", "spa",
-     {"c": 2, "chat": 2, "h": 5, "w": 5, "mode": "only-odd", "odd": (1, 3, 5)}),
+     {"c": 2, "chat": 2, "height": 5, "width": 5, "mode": "only-odd", "odd": (1, 3, 5)}),
     ("spa-onlyeven-c4-6x6-reduced", "spa",
-     {"c": 4, "chat": 2, "h": 6, "w": 6, "mode": "only-even", "even": (1, 2, 4)}),
+     {"c": 4, "chat": 2, "height": 6, "width": 6, "mode": "only-even", "even": (1, 2, 4)}),
     ("spa-onlyeven-c3-4x4", "spa",
-     {"c": 3, "chat": 3, "h": 4, "w": 4, "mode": "only-even", "even": (1, 2)}),
+     {"c": 3, "chat": 3, "height": 4, "width": 4, "mode": "only-even", "even": (1, 2)}),
     ("spa-mixed-c2-10x10", "spa",
-     {"c": 2, "chat": 2, "h": 10, "w": 10, "mode": "mixed",
+     {"c": 2, "chat": 2, "height": 10, "width": 10, "mode": "mixed",
       "odd": (1, 3, 5, 7, 9), "even": (1, 8, 10)}),
     ("cpa-subtract-plain-c4-5x5", "cpa",
-     {"c": 4, "h": 5, "w": 5, "mode": "subtract", "with_proj": False}),
+     {"c": 4, "height": 5, "width": 5, "mode": "subtract", "with_proj": False}),
     ("cpa-subtract-proj-c3-4x4", "cpa",
-     {"c": 3, "h": 4, "w": 4, "mode": "subtract", "with_proj": True}),
+     {"c": 3, "height": 4, "width": 4, "mode": "subtract", "with_proj": True}),
     ("cpa-square-plain-c4-5x5", "cpa",
-     {"c": 4, "h": 5, "w": 5, "mode": "square", "with_proj": False}),
+     {"c": 4, "height": 5, "width": 5, "mode": "square", "with_proj": False}),
     ("cpa-square-proj-c3-4x4", "cpa",
-     {"c": 3, "h": 4, "w": 4, "mode": "square", "with_proj": True}),
+     {"c": 3, "height": 4, "width": 4, "mode": "square", "with_proj": True}),
     ("network-16ch-8x8", "network", {"size": 8, "channels": 16, "odd": (1, 3, 5)}),
 )
 

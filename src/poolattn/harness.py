@@ -12,6 +12,7 @@ import platform
 import statistics
 import sys
 import time
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -190,16 +191,18 @@ def gradcheck_report(kind: str, config: dict, seed: int, h: float, tol: float) -
 
 def train_demo_report(seed: int, size: int, steps: int, lr: float, momentum: float,
                       poly_power: float | None, count: int, batch: int,
-                      spa_mode: str, spec_text: str, cpa_mode: str) -> dict:
+                      spa_mode: str, spec_text: str | None, cpa_mode: str) -> dict:
     cfg = network.TrainConfig(lr=lr, momentum=momentum, steps=steps,
                               poly_power=poly_power, batch=batch)
     mode = SpaMode(spa_mode)
     if mode is SpaMode.MIXED:
-        # Mixed mode pairs the matched toy pyramids; --spec applies to the single-spec modes.
+        if spec_text is not None:
+            raise ConfigurationError(f"mixed mode pairs the matched toy pyramids and takes "
+                                     f"no pyramid spec, got {spec_text!r}")
         model = network.build_model(seed, spa_mode=mode, cpa_mode=CpaMode(cpa_mode))
         spec_label = (f"{spec_name(model.spa.v_spec)}+{spec_name(model.spa.k_spec)}")
     else:
-        spec = parse_spec(spec_text)
+        spec = parse_spec(spec_text or "toy-odd")
         model = network.build_model(seed, spa_mode=mode, odd_spec=spec, even_spec=spec,
                                     cpa_mode=CpaMode(cpa_mode))
         spec_label = spec_name(spec)
@@ -211,7 +214,7 @@ def train_demo_report(seed: int, size: int, steps: int, lr: float, momentum: flo
                    "momentum": momentum, "poly_power": poly_power, "count": count,
                    "batch": batch, "spa_mode": spa_mode, "spec": spec_label,
                    "cpa_mode": cpa_mode},
-        **report.as_dict(),
+        **asdict(report),
     }
 
 

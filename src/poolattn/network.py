@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, _upstream, cpa_stages,
-                        cpa_stages_backward, init_projection, spa_module, spa_stages,
-                        spa_stages_backward)
+from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, _checked, _upstream,
+                        cpa_stages, cpa_stages_backward, init_projection, spa_module,
+                        spa_stages, spa_stages_backward)
 from .errors import ConfigurationError, NonFiniteError, TrainingDivergenceError
 from .ops import _finite, _quiet
 from .pooling import TOY_EVEN_MATCHED, TOY_ODD, TOY_ODD_MATCHED, PyramidSpec
@@ -61,13 +61,12 @@ def _net_keys(stem_w1, stem_w2, spa: dict, cpa: dict, fuse_w) -> dict[str, np.nd
             "fuse_w": fuse_w, **gates}
 
 
-def build_model(seed: int, channels: int = 16, classes: int = 2,
+def build_model(seed: int, channels: int = 16,
                 spa_mode: SpaMode = SpaMode.ONLY_ODD,
                 odd_spec: PyramidSpec = TOY_ODD,
                 even_spec: PyramidSpec | None = None,
-                cpa_mode: CpaMode = CpaMode.SUBTRACT,
-                cpa_proj: bool = False) -> DpaNetMini:
-    """Seed-deterministic float64 model with both gates at exactly 0."""
+                cpa_mode: CpaMode = CpaMode.SUBTRACT) -> DpaNetMini:
+    """Seed-deterministic float64 model: two classes, projection-free CPA, both gates at 0."""
     if spa_mode is SpaMode.MIXED and even_spec is None:
         odd_spec, even_spec = TOY_ODD_MATCHED, TOY_EVEN_MATCHED
     rng = Rng(seed)
@@ -77,9 +76,8 @@ def build_model(seed: int, channels: int = 16, classes: int = 2,
                               channels * STEM_KERNEL * STEM_KERNEL)
     spa = spa_module(init_projection(rng, channels), spa_mode,
                      odd_spec=odd_spec, even_spec=even_spec)
-    cpa = CpaModule(init_projection(rng, channels) if cpa_proj else None, cpa_mode)
-    fuse_w = ops.init_weight(rng, (classes, 2 * channels), 2 * channels)
-    return DpaNetMini(stem_w1, stem_w2, spa, cpa, fuse_w)
+    fuse_w = ops.init_weight(rng, (2, 2 * channels), 2 * channels)
+    return DpaNetMini(stem_w1, stem_w2, spa, CpaModule(None, cpa_mode), fuse_w)
 
 
 @_quiet
@@ -92,8 +90,9 @@ def stages(model: DpaNetMini, image: np.ndarray):
     spa_out, _, spa_cache = spa_stages(feats, model.spa)
     cpa_out, _, cpa_cache = cpa_stages(feats, model.cpa)
     cat = np.concatenate([spa_out, cpa_out], axis=0)
-    logits = _finite(ops.conv1x1(cat, model.fuse_w), "network logits")
-    return logits, (model, image, pre1, f1, pre2, cat, spa_cache, cpa_cache)
+    c, h, w = cat.shape
+    logits = _finite(ops.matmul(model.fuse_w, cat.reshape(c, h * w)), "network logits")
+    return logits.reshape(-1, h, w), (model, image, pre1, f1, pre2, cat, spa_cache, cpa_cache)
 
 
 @_quiet
@@ -110,8 +109,7 @@ def stages_backward(cache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     d_pre2 = (sg.pop("x") + cg.pop("x")) * (pre2 > 0)
     d_f1, d_w2 = ops.conv2d_same_backward(f1, model.stem_w2, d_pre2)
     d_img, d_w1 = ops.conv2d_same_backward(image, model.stem_w1, d_f1 * (pre1 > 0))
-    for key, grad in (("stem_w1", d_w1), ("stem_w2", d_w2), ("fuse_w", d_fuse), ("image", d_img)):
-        _finite(grad, f"network grad {key}")
+    _checked({"stem_w1": d_w1, "stem_w2": d_w2, "fuse_w": d_fuse, "image": d_img}, "network")
     return {**_net_keys(d_w1, d_w2, sg, cg, d_fuse), "image": d_img}
 
 
@@ -200,17 +198,6 @@ class TrainedReport:
     loss_curve: list[float]
     lambda_curve: list[float]
     mu_curve: list[float]
-
-    def as_dict(self) -> dict:
-        return {
-            "final_loss": self.final_loss,
-            "pixel_accuracy": self.pixel_accuracy,
-            "lambda_final": self.lambda_final,
-            "mu_final": self.mu_final,
-            "loss_curve": self.loss_curve,
-            "lambda_curve": self.lambda_curve,
-            "mu_curve": self.mu_curve,
-        }
 
 
 def pixel_accuracy(model: DpaNetMini, data: list[SynthSample]) -> float:

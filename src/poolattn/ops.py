@@ -169,7 +169,9 @@ def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarr
     for part in _slices(a.shape, axis):
         src, dst = a[part], out[part]
         peaks = src.max(axis=axis, keepdims=True)
-        top, low = _finite(np.array([peaks.max(), src.min()], F64), "softmax input").tolist()
+        top, low = float(peaks.max()), float(src.min())
+        if not (math.isfinite(top) and math.isfinite(low)):
+            raise NonFiniteError("softmax input produced non-finite values")
         np.subtract(src, peaks, out=dst)
         np.exp(dst, out=dst)
         dst /= dst.sum(axis=axis, keepdims=True)
@@ -210,19 +212,6 @@ def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int,
         np.subtract(g, inner, out=dst)
         dst *= src
     return out
-
-
-def conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-pixel channel mixing: w (C_out x C_in) applied to x (C_in x H x W), no bias."""
-    _check_dims(x, "conv1x1")
-    _rank2(w, "conv1x1 weights")
-    if x.ndim != 3:
-        raise DimensionError(f"conv1x1: input must be CxHxW, got shape {x.shape}")
-    if w.shape[1] != x.shape[0]:
-        raise DimensionError(f"conv1x1: channel mismatch, weights {w.shape} vs input {x.shape}")
-    c, h, wd = x.shape
-    out = matmul(w, x.reshape(c, h * wd))
-    return out.reshape(w.shape[0], h, wd)
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -268,12 +257,6 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray,
     grad_w = np.matmul(grad_out.reshape(c_out, -1), _im2col(x, k).T).reshape(w.shape)
     flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return _conv(grad_out, flipped), grad_w
-
-
-def max_over_rows(a: np.ndarray) -> np.ndarray:
-    """Column-wise maxima as a 1 x n row."""
-    _rank2(a, "max_over_rows")
-    return a.max(axis=0, keepdims=True)
 
 
 @_quiet

@@ -266,7 +266,7 @@ def direct_cpa(x, m, grad_out):
         k = ops.matmul(m.proj.w_k, xf)
         v = ops.matmul(m.proj.w_v, xf)
     d = ops.matmul(q, k.T)
-    diff = ops.max_over_rows(d) - d
+    diff = d.max(axis=0, keepdims=True) - d
     gated = diff * diff if m.mode.value == "square" else diff
     attn = ops.softmax(gated, axis=1)
     agg = ops.matmul(attn, v)

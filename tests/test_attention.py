@@ -144,7 +144,7 @@ _MANIFEST_SPA = [(name, config) for name, kind, config in gradcheck.MANIFEST if 
 
 
 @pytest.mark.parametrize("config", [c for _, c in _MANIFEST_SPA] + [
-    {"c": 64, "chat": 32, "h": 96, "w": 96, "mode": "mixed",
+    {"c": 64, "chat": 32, "height": 96, "width": 96, "mode": "mixed",
      "odd": PAPER_ODD.sizes, "even": PAPER_EVEN.sizes}],
     ids=[n for n, _ in _MANIFEST_SPA] + ["paper-mixed-c64-96x96"])
 def test_spa_matches_project_then_pool_oracle(config):
@@ -154,7 +154,7 @@ def test_spa_matches_project_then_pool_oracle(config):
                  for k in ("odd", "even"))
     m = spa_module(init_projection(rng, config["c"], config["chat"]), SpaMode(config["mode"]),
                    odd_spec=odd, even_spec=even, lam=0.5 + rng.next_unit())
-    shape = (config["c"], config["h"], config["w"])
+    shape = (config["c"], config["height"], config["width"])
     _assert_spa_matches_project_then_pool(m, rng.fill_uniform(shape, 1.0),
                                           rng.fill_uniform(shape, 1.0))
 

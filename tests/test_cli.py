@@ -559,3 +559,24 @@ def test_version_flag():
     out = run_cli("--version")
     assert out.returncode == 0
     assert poolattn.__version__ in out.stdout
+
+
+def test_gradcheck_report_keeps_its_step_apart_from_the_map_size():
+    out = run_cli("gradcheck", "--kind", "spa", "--c", "2", "--hw", "5", "--spec", "1,3",
+                  "--h", "1e-6")
+    assert out.returncode in (0, 1), out.stderr
+    report = json.loads(out.stdout)
+    validate("gradcheck", report)
+    config = report["config"]
+    assert (config["h"], config["height"], config["width"]) == (1e-6, 5, 5)
+
+
+@pytest.mark.parametrize("args, names", [
+    (["train-demo", "--spa-mode", "mixed", "--spec", "1,2"], "takes no pyramid spec"),
+    (["gradcheck", "--kind", "spa", "--spec-even", "1,2"], "--spec-even"),
+], ids=["train-demo-mixed-spec", "gradcheck-spec-even-without-mixed"])
+def test_unused_pyramid_flag_exits_2(args, names):
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert "error: " in out.stderr and names in out.stderr
+    assert "Traceback" not in out.stderr and out.stdout == ""

@@ -60,14 +60,14 @@ def test_finite_diff_rejects_float32():
 
 
 def test_check_module_spa_small_config_passes():
-    reports = check_module("spa", {"c": 4, "h": 6, "w": 6, "mode": "only-even",
+    reports = check_module("spa", {"c": 4, "height": 6, "width": 6, "mode": "only-even",
                                    "even": (1, 2)}, seed=0)
     assert {r.target for r in reports} == {"x", "w_q", "w_k", "w_v", "lam"}
     assert all(r.passed for r in reports)
 
 
 def test_check_module_gate_at_zero_passes():
-    reports = check_module("spa", {"c": 3, "h": 4, "w": 4, "mode": "only-odd",
+    reports = check_module("spa", {"c": 3, "height": 4, "width": 4, "mode": "only-odd",
                                    "odd": (1, 3), "lam": 0.0}, seed=1)
     assert all(r.passed for r in reports)
     lam_report = next(r for r in reports if r.target == "lam")
@@ -87,7 +87,7 @@ def test_corrupted_backward_is_detected():
 
 
 def test_report_fields_are_consistent():
-    reports = check_module("cpa", {"c": 3, "h": 3, "w": 3, "mode": "square",
+    reports = check_module("cpa", {"c": 3, "height": 3, "width": 3, "mode": "square",
                                    "with_proj": False}, seed=2)
     for r in reports:
         assert r.passed == (r.max_rel_error < r.tolerance)

@@ -58,7 +58,8 @@ def test_forward_gate_closed_reduces_to_fused_stem():
     logits = forward(model, image)
     pre1 = ops.conv2d_same(image, model.stem_w1)
     feats = np.maximum(ops.conv2d_same(np.maximum(pre1, 0.0), model.stem_w2), 0.0)
-    expected = ops.conv1x1(np.concatenate([feats, feats], axis=0), model.fuse_w)
+    cat = np.concatenate([feats, feats], axis=0)
+    expected = ops.matmul(model.fuse_w, cat.reshape(len(cat), -1)).reshape(2, 16, 16)
     assert np.array_equal(logits, expected)
 
 

@@ -262,32 +262,11 @@ def test_softmax_flush_and_its_skip_at_their_boundaries_match_whole_map_bitwise(
 
 # --- convolutions ----------------------------------------------------------
 
-def test_conv1x1_identity_kernel():
-    x = Rng(8).fill_uniform((3, 4, 5), 1.0)
-    assert np.array_equal(ops.conv1x1(x, np.eye(3)), x)
-
-
-def test_conv1x1_zero_kernel():
-    x = Rng(9).fill_uniform((2, 3, 3), 1.0)
-    assert np.array_equal(ops.conv1x1(x, np.zeros((4, 2))), np.zeros((4, 3, 3)))
-
-
-def test_conv1x1_hand_case():
-    x = np.array([1.0, 2.0]).reshape(2, 1, 1)
-    w = np.array([[1.0, 1.0], [1.0, -1.0]])
-    assert np.array_equal(ops.conv1x1(x, w).reshape(2), [3.0, -1.0])
-
-
-def test_conv1x1_channel_mismatch():
-    with pytest.raises(DimensionError):
-        ops.conv1x1(np.ones((3, 2, 2)), np.ones((4, 2)))
-
-
 def test_conv2d_same_1x1_reduces_to_conv1x1():
     x = Rng(10).fill_uniform((3, 5, 4), 1.0)
     w = Rng(11).fill_uniform((2, 3), 1.0)
-    assert np.allclose(ops.conv2d_same(x, w.reshape(2, 3, 1, 1)), ops.conv1x1(x, w),
-                       rtol=0, atol=1e-15)
+    assert np.allclose(ops.conv2d_same(x, w.reshape(2, 3, 1, 1)),
+                       ops.matmul(w, x.reshape(3, 20)).reshape(2, 5, 4), rtol=0, atol=1e-15)
 
 
 def test_conv2d_same_averaging_kernel_interior():
@@ -394,18 +373,7 @@ def test_adaptive_pool_oversize_rejected():
         _adaptive_pool(np.ones((1, 4, 4)), 5)
 
 
-# --- reductions and loss ----------------------------------------------------
-
-def test_max_over_rows_hand_case():
-    assert np.array_equal(ops.max_over_rows(np.array([[1.0, 5.0], [3.0, 2.0]])),
-                          [[3.0, 5.0]])
-
-
-def test_max_over_rows_single_row_and_constant():
-    row = np.array([[2.0, -1.0, 0.5]])
-    assert np.array_equal(ops.max_over_rows(row), row)
-    assert np.array_equal(ops.max_over_rows(np.full((4, 3), 1.25)), np.full((1, 3), 1.25))
-
+# --- loss ------------------------------------------------------------------
 
 def test_cross_entropy_uniform_logits():
     loss, _ = ops.cross_entropy_logits(np.zeros((2, 3, 3)), np.zeros((3, 3), dtype=int))

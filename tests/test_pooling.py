@@ -89,8 +89,8 @@ def _manifest_pool_cases():
     cases = []
     for _, kind, cfg in MANIFEST:
         if kind in ("spa", "network"):
-            h = cfg.get("h", cfg.get("size"))
-            w = cfg.get("w", h)
+            h = cfg.get("height", cfg.get("size"))
+            w = cfg.get("width", h)
             channels = cfg.get("c", cfg.get("channels"))
             for c in {channels, cfg.get("chat", channels)}:
                 cases += [(c, h, w, cfg[key]) for key in ("odd", "even") if key in cfg]

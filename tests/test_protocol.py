@@ -64,8 +64,7 @@ def test_backward_keys_and_shapes_match_params(shape, seed):
 @settings(max_examples=5, deadline=None)
 @given(st.integers(1, 4), st.integers(5, 8), st.integers(0, 2**32 - 1))
 def test_network_backward_keys_and_shapes_match_params(channels, size, seed):
-    model = build_model(seed, channels=channels, odd_spec=PyramidSpec((1, 3)),
-                        cpa_proj=bool(seed % 2))
+    model = build_model(seed, channels=channels, odd_spec=PyramidSpec((1, 3)))
     rng = Rng(seed)
     image = rng.fill_uniform((3, size, size), 1.0)
     grads = network.backward(model, image, rng.fill_uniform((model.classes, size, size), 1.0))
@@ -86,8 +85,8 @@ def test_in_place_param_write_changes_next_forward():
             assert not np.array_equal(forward(), before), (name, key)
 
     image = synth_dataset(4, 1, 8)[0].image
-    for key in build_model(4, cpa_proj=True).params:
-        model = build_model(4, cpa_proj=True)
+    for key in build_model(4).params:
+        model = build_model(4)
         model.spa.lam[...] = model.cpa.mu[...] = 0.5   # open gates, so branch weights matter
         before = network.forward(model, image)
         model.params[key][...] += 0.25
@@ -99,13 +98,13 @@ def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
 
     Each stage is counted by a call that only its forward makes: the stem by
     its two conv2d_same, SPA by its pyramid pool (one: keys and values share the
-    only-odd pyramid), CPA by max_over_rows. The final pixel-accuracy sweep is a
+    only-odd pyramid), CPA by cpa_stages. The final pixel-accuracy sweep is a
     separate evaluation and is stubbed out.
     """
     batch = 4
     calls = Counter()
     for owner, name in ((ops, "conv2d_same"), (attention, "pyramid_pool"),
-                        (ops, "max_over_rows")):
+                        (network, "cpa_stages")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -116,14 +115,14 @@ def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
           TrainConfig(lr=0.05, momentum=0.9, steps=1, batch=batch))
     assert calls["conv2d_same"] == 2 * batch
     assert calls["pyramid_pool"] == batch
-    assert calls["max_over_rows"] == batch
+    assert calls["cpa_stages"] == batch
 
 
 @pytest.mark.parametrize("label, case, call, counts", [
-    ("spa_forward", "spa-onlyodd-c4-6x6", "forward", (2, 2, 7)),
-    ("spa_backward", "spa-onlyodd-c4-6x6", "backward", (4, 3, 13)),
-    ("cpa_forward", "cpa-subtract-plain-c4-5x5", "forward", (1, 1, 4)),
-    ("network.forward", "network-16ch-8x8", "forward", (4, 8, 14)),
+    ("spa_forward", "spa-onlyodd-c4-6x6", "forward", (2, 2, 6)),
+    ("spa_backward", "spa-onlyodd-c4-6x6", "backward", (4, 3, 12)),
+    ("cpa_forward", "cpa-subtract-plain-c4-5x5", "forward", (1, 1, 3)),
+    ("network.forward", "network-16ch-8x8", "forward", (4, 7, 12)),
 ])
 def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, call, counts):
     """(np.errstate entries, _check_dims calls, _finite calls) for one call at a manifest shape.
@@ -132,7 +131,9 @@ def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, c
     While every primitive did all three for itself these read 10/14/10, 22/43/24, 6/7/6
     and 22/29/21, so a per-primitive check that comes back shows here. SPA pools its
     input once when keys and values share a pyramid (3/3/8, 6/5/15 and 5/9/15 while
-    it pooled projected keys and values apart).
+    it pooled projected keys and values apart). softmax checks its input's two extremes
+    without `_finite`, and the fuse layer is one `matmul` (2/2/7, 4/3/13, 1/1/4 and
+    4/8/14 while softmax checked them through `_finite` and `conv1x1` checked its input).
     """
     seen = Counter()
 
