@@ -7,8 +7,9 @@ add per input element per level, with the per-bin mean divisions excluded
 as O(T) noise. Each report counts what the forward runs: SPA pools its
 C-channel input before the key and value projections (once when the two
 pyramids match), so its projections cost 2*N*chat*C + 2*T*(chat*C + C^2).
-The paper's order, projecting every position first, costs what the
-non-local report's `flops_proj` holds. CPA projects the C x C Gram matrix
+The non-local baseline is the T = N case of the same formula, with nothing
+pooled; its `flops_proj`, 2*N*(2*chat*C + C^2), is also what the paper's
+order, projecting every position first, costs SPA. CPA projects the C x C Gram matrix
 and its softmax map, not the input, so its projections cost 6*C^3.
 Absolute numbers are convention-dependent; the ratios (N/T core reduction,
 zero added parameters, attention-map bytes) are not.
@@ -23,10 +24,6 @@ import numpy as np
 from .errors import ComparisonError
 from .ops import dtype_name
 from .pooling import PyramidSpec, anchor_count
-
-
-def dtype_size(dtype) -> int:
-    return int(np.dtype(dtype).itemsize)
 
 
 @dataclass(frozen=True)
@@ -75,29 +72,33 @@ class CostReport:
         return d
 
 
-def cost_nonlocal(c: int, chat: int, h: int, w: int, dtype=np.float32) -> CostReport:
-    """Full N x N attention: map 2*chat*N^2, softmax 5N^2, aggregation 2*c*N^2."""
+def _attention_cost(c: int, chat: int, h: int, w: int, t: int, flops_pool: int, dtype,
+                    spec_names: tuple[str, str] | None = None) -> CostReport:
+    """N queries against T keys and values: map 2*chat*N*T, softmax 5*N*T, aggregation
+    2*c*N*T. The queries are projected at all N positions, the keys and values at T."""
     n = h * w
-    fmap = 2 * chat * n * n
-    fsoft = 5 * n * n
-    fagg = 2 * c * n * n
     return CostReport(
-        params=2 * chat * c + c * c + 1,
-        flops_proj=2 * n * (2 * chat * c + c * c),
-        flops_pool=0,
-        attn_map_bytes=n * n * dtype_size(dtype),
+        params=2 * chat * c + c * c + 1,     # pooling adds zero learnables
+        flops_proj=2 * n * chat * c + 2 * t * (chat * c + c * c),
+        flops_pool=flops_pool,
+        attn_map_bytes=t * n * np.dtype(dtype).itemsize,
         shape=(c, chat, h, w),
-        flops_map=fmap, flops_softmax=fsoft, flops_agg=fagg,
+        flops_map=2 * chat * n * t, flops_softmax=5 * n * t, flops_agg=2 * c * n * t,
         dtype=dtype_name(dtype),
+        spec_names=spec_names,
     )
+
+
+def cost_nonlocal(c: int, chat: int, h: int, w: int, dtype=np.float32) -> CostReport:
+    """Full N x N attention: the T = N case, with nothing pooled."""
+    return _attention_cost(c, chat, h, w, h * w, 0, dtype)
 
 
 def cost_spa(c: int, chat: int, h: int, w: int, k_spec: PyramidSpec, v_spec: PyramidSpec,
              dtype=np.float32, spec_names: tuple[str, str] | None = None) -> CostReport:
     """T-anchor attention: every core term of the baseline with one N replaced by T.
 
-    The queries are projected at all N positions, the keys and values at the T
-    pooled anchors; the input is pooled on each pyramid, once when they match.
+    The input is pooled on each pyramid, once when they match.
     Pure arithmetic: shapes too small for the pyramids are allowed here so
     degenerate ratios can still be reported (the forward pass itself rejects them).
     """
@@ -105,21 +106,9 @@ def cost_spa(c: int, chat: int, h: int, w: int, k_spec: PyramidSpec, v_spec: Pyr
         raise ComparisonError(f"anchor counts differ: {k_spec.sizes} gives "
                               f"{anchor_count(k_spec)}, {v_spec.sizes} gives "
                               f"{anchor_count(v_spec)}")
-    n = h * w
-    t = anchor_count(k_spec)
-    fmap = 2 * chat * n * t
-    fsoft = 5 * n * t
-    fagg = 2 * c * n * t
-    return CostReport(
-        params=2 * chat * c + c * c + 1,     # pooling adds zero learnables
-        flops_proj=2 * n * chat * c + 2 * t * (chat * c + c * c),
-        flops_pool=n * c * sum(len(spec.sizes) for spec in {k_spec, v_spec}),
-        attn_map_bytes=t * n * dtype_size(dtype),
-        shape=(c, chat, h, w),
-        flops_map=fmap, flops_softmax=fsoft, flops_agg=fagg,
-        dtype=dtype_name(dtype),
-        spec_names=spec_names,
-    )
+    flops_pool = h * w * c * sum(len(spec.sizes) for spec in {k_spec, v_spec})
+    return _attention_cost(c, chat, h, w, anchor_count(k_spec), flops_pool, dtype,
+                           spec_names)
 
 
 def cost_cpa(c: int, h: int, w: int, with_proj: bool, dtype=np.float32) -> CostReport:
@@ -139,7 +128,7 @@ def cost_cpa(c: int, h: int, w: int, with_proj: bool, dtype=np.float32) -> CostR
         params=3 * c * c + 1 if with_proj else 1,
         flops_proj=6 * c ** 3 if with_proj else 0,
         flops_pool=0,
-        attn_map_bytes=c * c * dtype_size(dtype),
+        attn_map_bytes=c * c * np.dtype(dtype).itemsize,
         shape=(c, c, h, w),
         flops_map=fmap, flops_softmax=fsoft, flops_agg=fagg, flops_extra=fextra,
         dtype=dtype_name(dtype),

@@ -228,7 +228,6 @@ def nonlocal_stages(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | fl
     logits = ops.matmul(alpha.T, beta)                  # N x N, row j = position j's queries
     instrument.add("map", 2 * proj.reduced * logits.size)
     attn = ops.softmax(logits, axis=1, out=logits)      # the map is held once
-    instrument.add("softmax", 5 * attn.size)
     agg = ops.matmul(attn, gamma.T).T                   # C x N, a view of the N x C product
     instrument.add("agg", 2 * c * attn.size)
     out = _gate_forward(agg, lam, xf, "nonlocal").reshape(c, h, w)
@@ -281,7 +280,6 @@ def spa_stages(x: np.ndarray, m: SpaModule):
     logits = ops.matmul(k_pool.T, q)                     # T x N
     instrument.add("map", 2 * m.proj.reduced * logits.size)
     attn = ops.softmax(logits, axis=0, out=logits)       # anchor weights sum to 1 per position
-    instrument.add("softmax", 5 * attn.size)
     agg = ops.matmul(v_pool, attn)                       # C x N
     instrument.add("agg", 2 * c * attn.size)
     out = _gate_forward(agg, m.lam, xf, "spa").reshape(c, h, w)
@@ -340,7 +338,6 @@ def cpa_stages(x: np.ndarray, m: CpaModule):
     instrument.add("maxdiff", 2 * d.size)
     gated = diff * diff if m.mode is CpaMode.SQUARE else diff
     attn = ops.softmax(gated, axis=1)
-    instrument.add("softmax", 5 * attn.size)
     mix = attn if m.proj is None else _project(attn, m.proj.w_v, "cpa")
     agg = ops.matmul(mix, xf)                            # C x N
     instrument.add("agg", 2 * xf.shape[1] * attn.size)

@@ -121,17 +121,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference checks of the backward passes")
     p.add_argument("--kind", required=True,
                    choices=["nonlocal", "spa", "cpa", "network", "all"])
-    p.add_argument("--c", type=_positive, default=4)
+    p.add_argument("--c", type=_positive, default=None, help="channels (default 4)")
     p.add_argument("--chat", type=_positive, default=None)
-    p.add_argument("--hw", type=_positive, default=6)
-    p.add_argument("--spec", default="1,2",
-                   help="pyramid sizes for the spa kinds (comma list or preset)")
+    p.add_argument("--hw", type=_positive, default=None, help="square map size (default 6)")
+    p.add_argument("--spec", default=None,
+                   help="spa/network pyramid sizes, comma list or preset (default 1,2)")
     p.add_argument("--spec-even", default=None,
                    help="even pyramid for mixed mode (the --spec list is then the odd one)")
     p.add_argument("--mode", default=None,
                    help="spa: only-odd/only-even/mixed; cpa: subtract/square")
     p.add_argument("--with-proj", action="store_true", help="cpa: include projections")
-    p.add_argument("--size", type=_positive, default=8, help="network: image size")
+    p.add_argument("--size", type=_positive, default=None,
+                   help="network: image size (default 8)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=_positive_float, default=1e-5, help="finite-difference step")
     p.add_argument("--tol", type=_positive_float, default=1e-4)
@@ -202,6 +203,13 @@ def _parse_spec_groups(text: str) -> list:
     return specs
 
 
+# The gradcheck kinds that read each flag; any other kind refuses it.
+_GRADCHECK_READERS = {"c": ("nonlocal", "spa", "cpa"), "chat": ("nonlocal", "spa"),
+                      "hw": ("nonlocal", "spa", "cpa"), "spec": ("spa", "network"),
+                      "spec_even": ("spa",), "mode": ("spa", "cpa"),
+                      "with_proj": ("cpa",), "size": ("network",)}
+
+
 def _run(args, parser: argparse.ArgumentParser) -> int:
     if args.command == "flops":
         h, w = _spatial(args, parser)
@@ -234,16 +242,20 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         return EXIT_OK
 
     if args.command == "gradcheck":
+        for flag, kinds in _GRADCHECK_READERS.items():
+            if getattr(args, flag) not in (None, False) and args.kind not in kinds:
+                raise errors.ConfigurationError(f"--{flag.replace('_', '-')} is not read "
+                                                f"by --kind {args.kind}")
         config: dict = {}
         if args.kind in ("nonlocal", "spa", "cpa"):
-            config = {"c": args.c, "height": args.hw, "width": args.hw}
+            config = {"c": args.c or 4, "height": args.hw or 6, "width": args.hw or 6}
             if args.chat is not None:
                 config["chat"] = args.chat
-        if args.spec_even is not None and (args.kind, args.mode) != ("spa", "mixed"):
+        if args.spec_even is not None and args.mode != "mixed":     # kind is spa here
             raise errors.ConfigurationError("--spec-even is the even pyramid of "
                                             "--kind spa --mode mixed only")
         if args.kind == "spa":
-            spec = parse_spec(args.spec)
+            spec = parse_spec(args.spec or "1,2")
             mode = args.mode or "only-odd"
             config["mode"] = mode
             if mode == "only-even":
@@ -256,7 +268,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
             config["mode"] = args.mode or "subtract"
             config["with_proj"] = args.with_proj
         elif args.kind == "network":
-            config = {"size": args.size, "odd": parse_spec(args.spec).sizes}
+            config = {"size": args.size or 8, "odd": parse_spec(args.spec or "1,2").sizes}
         report = harness.gradcheck_report(args.kind, config, args.seed, args.h, args.tol)
         _emit(report, args.out)
         return EXIT_OK if report["all_passed"] else EXIT_VERIFY

@@ -12,7 +12,7 @@ separately by agreement with their float64 twins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,14 +38,7 @@ class GradCheckReport:
     worst_index: tuple[int, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "max_rel_error": self.max_rel_error,
-            "num_entries": self.num_entries,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "worst_index": list(self.worst_index),
-        }
+        return {**asdict(self), "worst_index": list(self.worst_index)}
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,

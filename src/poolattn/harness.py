@@ -19,7 +19,7 @@ import numpy as np
 
 from . import accounting, dpt, gradcheck, network
 from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_forward,
-                        init_projection, nonlocal_forward, param_count, spa_forward)
+                        init_projection, nonlocal_forward, spa_forward)
 from .errors import ConfigurationError, ResourceLimitError
 from .ops import resolve_dtype
 from .pooling import PyramidSpec, anchor_count, boundary_histogram, interior_offsets, \
@@ -86,7 +86,7 @@ def bench_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
     dtype = resolve_dtype(dtype_name)
     names = (spec_name(spec_k), spec_name(spec_v))
     nb_cost = accounting.cost_nonlocal(c, chat, h, w, dtype)
-    spa_cost = accounting.cost_spa(c, chat, h, w, spec_k, spec_v, dtype, spec_names=names)
+    spa_cost = accounting.cost_spa(c, chat, h, w, spec_k, spec_v, dtype)
     print(f"nonlocal attention map: {nb_cost.attn_map_bytes} bytes "
           f"(spa: {spa_cost.attn_map_bytes})", file=sys.stderr, flush=True)
     _check_mem_limit("nonlocal", nb_cost, mem_limit)
@@ -258,14 +258,12 @@ def attn_report(input_path: str, module_kind: str, out_tensor: str, out_attn: st
         proj = init_projection(rng, c, chat, dtype)
         cost = accounting.cost_nonlocal(c, proj.reduced, h, w, dtype)
         forward = partial(nonlocal_forward, x, proj, lam)
-        params = param_count(proj) + 1
         config = {"module": module_kind, "seed": seed, "chat": proj.reduced, "lam": lam}
     elif module_kind == "spa":
         proj = init_projection(rng, c, chat, dtype)
         module = SpaModule(proj, SpaMode.MIXED, spec_k, spec_v, lam)
         cost = accounting.cost_spa(c, proj.reduced, h, w, spec_k, spec_v, dtype)
         forward = partial(spa_forward, x, module)
-        params = param_count(module)
         config = {"module": module_kind, "seed": seed, "chat": proj.reduced, "lam": lam,
                   "spec_k": spec_name(spec_k), "spec_v": spec_name(spec_v)}
     elif module_kind == "cpa":
@@ -273,7 +271,6 @@ def attn_report(input_path: str, module_kind: str, out_tensor: str, out_attn: st
         module = CpaModule(proj, CpaMode(cpa_mode), mu)
         cost = accounting.cost_cpa(c, h, w, with_proj, dtype)
         forward = partial(cpa_forward, x, module)
-        params = param_count(module)
         config = {"module": module_kind, "seed": seed, "mu": mu, "mode": cpa_mode,
                   "with_proj": with_proj}
     else:
@@ -288,7 +285,7 @@ def attn_report(input_path: str, module_kind: str, out_tensor: str, out_attn: st
         "input_shape": list(x.shape),
         "output_shape": list(out.shape),
         "attn_shape": list(attn.shape),
-        "params": params,
+        "params": cost.params,
         "out_tensor": out_tensor,
         "out_attn": out_attn,
     }

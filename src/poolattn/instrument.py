@@ -3,7 +3,8 @@
 The attention forwards report the cost of each stage they execute, with
 counts derived from the runtime operand shapes under the package-wide
 convention: multiply-accumulate = 2, exp/div/max/sub = 1, softmax over n
-entries = 5n, adaptive pooling = one add per input element per level
+entries = 5n, counted by `ops.softmax` itself once per call, adaptive
+pooling = one add per input element per level, counted by `pyramid_pool`
 (bin-mean divisions are excluded by convention; they are O(T) noise).
 
 Counting is opt-in via the `counting` context manager. The live tally is

@@ -32,6 +32,7 @@ import math
 
 import numpy as np
 
+from . import instrument
 from .errors import ConfigurationError, DimensionError, LabelError, NonFiniteError
 from .rng import Rng
 
@@ -177,6 +178,7 @@ def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarr
         dst /= dst.sum(axis=axis, keepdims=True)
         if math.exp(low - top) < 4 * tiny * src.shape[axis]:
             dst[dst < tiny] = 0
+    instrument.add("softmax", 5 * out.size)
     return out
 
 

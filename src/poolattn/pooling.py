@@ -170,7 +170,4 @@ def boundary_histogram(spec: PyramidSpec, extent: int) -> list[tuple[int, int]]:
 
 def interior_offsets(spec: PyramidSpec, extent: int) -> set[int]:
     """Distinct bin edges strictly inside (0, extent) across all levels."""
-    edges: set[int] = set()
-    for n in spec.sizes:
-        edges.update(bin_edges(extent, n))
-    return {e for e in edges if 0 < e < extent}
+    return {edge for edge, _ in boundary_histogram(spec, extent) if 0 < edge < extent}

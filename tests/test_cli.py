@@ -574,7 +574,21 @@ def test_gradcheck_report_keeps_its_step_apart_from_the_map_size():
 @pytest.mark.parametrize("args, names", [
     (["train-demo", "--spa-mode", "mixed", "--spec", "1,2"], "takes no pyramid spec"),
     (["gradcheck", "--kind", "spa", "--spec-even", "1,2"], "--spec-even"),
-], ids=["train-demo-mixed-spec", "gradcheck-spec-even-without-mixed"])
+    (["gradcheck", "--kind", "cpa", "--spec-even", "1,2"], "--spec-even"),
+    (["gradcheck", "--kind", "nonlocal", "--with-proj"], "--with-proj"),
+    (["gradcheck", "--kind", "nonlocal", "--mode", "square"], "--mode"),
+    (["gradcheck", "--kind", "cpa", "--chat", "3"], "--chat"),
+    (["gradcheck", "--kind", "cpa", "--spec", "9"], "--spec"),
+    (["gradcheck", "--kind", "spa", "--size", "3"], "--size"),
+    (["gradcheck", "--kind", "network", "--hw", "5"], "--hw"),
+    (["gradcheck", "--kind", "network", "--mode", "mixed"], "--mode"),
+    (["gradcheck", "--kind", "all", "--c", "3"], "--c"),
+    (["gradcheck", "--kind", "all", "--spec", "1,2"], "--spec"),
+], ids=["train-demo-mixed-spec", "gradcheck-spec-even-without-mixed",
+        "gradcheck-cpa-spec-even", "gradcheck-nonlocal-with-proj", "gradcheck-nonlocal-mode",
+        "gradcheck-cpa-chat", "gradcheck-cpa-spec", "gradcheck-spa-size",
+        "gradcheck-network-hw", "gradcheck-network-mode", "gradcheck-all-c",
+        "gradcheck-all-spec"])
 def test_unused_pyramid_flag_exits_2(args, names):
     out = run_cli(*args)
     assert out.returncode == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolattn import ops
+from poolattn import instrument, ops
 from poolattn.attention import (CpaMode, CpaModule, SpaMode, cpa_forward, init_projection,
                                 spa_forward, spa_module)
 from poolattn.errors import (ConfigurationError, DimensionError, LabelError,
@@ -68,6 +68,14 @@ def test_softmax_equal_values_uniform():
 def test_softmax_closed_form():
     out = ops.softmax(np.array([[0.0, math.log(3.0)]]), axis=1)
     assert np.allclose(out, [[0.25, 0.75]], rtol=0, atol=1e-15)
+
+
+def test_softmax_counts_its_own_flops():
+    a = Rng(5).fill_uniform((6, 9), 1.0)
+    with instrument.counting() as tally:
+        ops.softmax(a, axis=0)
+        ops.softmax(a, axis=1)
+    assert tally == {"softmax": 2 * 5 * a.size}
 
 
 def test_softmax_single_column_is_ones():
