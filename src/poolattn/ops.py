@@ -16,8 +16,8 @@ public entry point still raises NonFiniteError on NaN/Inf anywhere.
 softmax makes six passes over each slice of its map: line max, slice min,
 subtract, exp, sum, divide. The two extremes are its input check, and they bound
 the smallest weight from below, so the subnormal flush runs only on a slice where
-a weight can fall below tiny. softmax_backward along axis 0 adds its products one
-row at a time, in numpy's order, and holds no slice-sized product.
+a weight can fall below tiny. softmax_backward along axis 0 adds its products a
+block of rows at a time, in numpy's order, and holds no slice-sized product.
 
 matmul delegates to numpy's BLAS. It must stay within 1e-12 relative of
 the index-ascending reference (`tests/oracles.py` `loop_matmul`) and is
@@ -47,6 +47,11 @@ _ALLOWED = tuple(DTYPES.values())
 # per line: at 2^17 SPA's 325 x 9216 f32 softmax took 18 ms, not 12, and its
 # backward 28, not 10 (one BLAS thread, 2-vCPU x86-64).
 _SLICE = 1 << 20
+# Rows of products that softmax_backward's axis-0 walk adds per numpy sum, after the
+# running total, which rides in as the block's first row. At 32 a 35 x 256 f32 backward
+# took 0.017 ms, not 0.075 one row at a time, and 325 x 9216 4.5, not 5.4 (timeit
+# minima, one BLAS thread, 2-vCPU x86-64).
+_ROW_BLOCK = 32
 
 def _quiet(fn):
     """Run a stage inside one np.errstate silencing FP warnings; finiteness is checked
@@ -190,10 +195,10 @@ def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int,
     Walks the same slices as `softmax`, each line's sum in the whole map's
     order, so the result is the same bit for bit. Along axis 0 on row-major
     operands of two or more columns numpy sums a slice's products row after row,
-    so they are added one row at a time in that order and no slice-sized product
-    is held (one slice is the whole T x N map of a 48 x 48 SPA). Elsewhere (axis
-    1, column-major, a single column) a slice's products are formed whole and
-    summed as numpy sums them. The result goes to `out`, a new array laid out
+    so they are added in that order, _ROW_BLOCK rows per sum, and no slice-sized
+    product is held (one slice is the whole T x N map of a 48 x 48 SPA).
+    Elsewhere (axis 1, column-major, a single column) a slice's products are
+    formed whole and summed as numpy sums them. The result goes to `out`, a new array laid out
     like `grad` by default; `out` may be `grad` itself (not `s`). It is not
     checked: it flows into the gradients its stage checks.
     """
@@ -206,14 +211,29 @@ def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int,
     for part in _slices(s.shape, axis):
         src, g, dst = s[part], grad[part], out[part]
         if by_rows:
-            inner = g[0] * src[0]
-            for row in range(1, len(src)):
-                inner += g[row] * src[row]
+            inner = _sum_products_by_rows(g, src)
         else:
             inner = (g * src).sum(axis=axis, keepdims=True)
         np.subtract(g, inner, out=dst)
         dst *= src
     return out
+
+
+def _sum_products_by_rows(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(g * s).sum(axis=0) bit for bit, one block of rows at a time: numpy adds the rows
+    of a row-major block one after another into a copy of the first, so a block whose
+    first row is the running total continues the whole sum."""
+    rows = len(s)
+    buf = np.empty((min(rows, _ROW_BLOCK + 1), s.shape[1]), s.dtype)
+    np.multiply(g[:len(buf)], s[:len(buf)], out=buf)
+    total = buf.sum(axis=0)
+    for start in range(len(buf), rows, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, rows)
+        block = buf[:stop - start + 1]
+        block[0] = total
+        np.multiply(g[start:stop], s[start:stop], out=block[1:])
+        total = block.sum(axis=0)
+    return total
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:

@@ -1,10 +1,12 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolattn import gradcheck, ops
+from poolattn import gradcheck, instrument, ops
+from poolattn.accounting import cost_spa
 from poolattn.attention import (CpaMode, CpaModule, ProjectionWeights, SpaMode, SpaModule,
                                 cpa_backward, cpa_forward, cpa_stages, cpa_stages_backward,
                                 init_projection,
@@ -189,6 +191,139 @@ def test_spa_module_factory_mode_assignment():
     assert only_even.k_spec is even and only_even.v_spec is even
     with pytest.raises(ConfigurationError):
         spa_module(proj, SpaMode.MIXED, odd_spec=odd)
+
+
+# --- SPA's one-call backward and the forward it follows ---------------------------
+
+def _spa_case(dtype, seed=70):
+    """x, a mixed-mode module on two distinct 25-anchor pyramids, and an upstream gradient."""
+    rng = Rng(seed)
+    m = SpaModule(init_projection(rng, 4, 3, dtype), SpaMode.MIXED, PyramidSpec((5,)),
+                  PyramidSpec((3, 4)), 0.7)
+    x = rng.fill_uniform((4, 10, 10), 1.0, dtype)
+    x[0, 0, 0] = 0.0                         # a zero whose sign a case flips
+    return x, m, rng.fill_uniform((4, 10, 10), 1.0, dtype)
+
+
+def _assert_bitwise(got, ref):
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert got[key].dtype == ref[key].dtype and got[key].shape == ref[key].shape, key
+        assert got[key].tobytes() == ref[key].tobytes(), key
+
+
+def _forward_tally(x, m):
+    """The forward's FLOPs by stage, from the closed form."""
+    c, h, w = x.shape
+    cost = cost_spa(c, m.proj.reduced, h, w, m.k_spec, m.v_spec, x.dtype)
+    return {"proj": cost.flops_proj, "pool": cost.flops_pool, "map": cost.flops_map,
+            "softmax": cost.flops_softmax, "agg": cost.flops_agg}
+
+
+@pytest.mark.parametrize("dtype", [ops.F32, ops.F64], ids=["f32", "f64"])
+def test_spa_backward_reuses_the_held_forward_bit_for_bit(dtype):
+    x, m, g = _spa_case(dtype)
+    ref = spa_stages_backward(spa_stages(x, m)[2], g)
+    with instrument.counting() as forward_tally:
+        out, attn = spa_forward(x, m)
+    assert forward_tally == _forward_tally(x, m)
+    for _ in range(2):                       # a second backward reuses it as well
+        with instrument.counting() as tally:
+            grads = spa_backward(x, m, g)
+        assert tally == {}
+        _assert_bitwise(grads, ref)
+
+
+def test_spa_forward_returns_a_read_only_map():
+    x, m, _ = _spa_case(ops.F64)
+    _, attn = spa_forward(x, m)
+    with pytest.raises(ValueError):
+        attn[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        attn *= 2
+
+
+def _edit(a, x, m, to=lambda v: v + 0.25):
+    """Change a's first entry in place (0-d gates included); the call is (x, m) again."""
+    first = (0,) * a.ndim
+    a[first] = to(a[first])
+    return x, m
+
+
+def _set(obj, name, value, x, m):
+    setattr(obj, name, value)
+    return x, m
+
+
+def _as_f64(x, m, held):
+    """x and m's weights recast to float64: equal values, the other dtype."""
+    w = m.proj
+    return _set(m, "proj", ProjectionWeights(w.w_q.astype(ops.F64), w.w_k.astype(ops.F64),
+                                             w.w_v.astype(ops.F64)), x.astype(ops.F64), m)
+
+
+# Each changes what the held forward read, or lets go of its map, before the backward.
+_MISSES = {
+    "x-in-place": lambda x, m, held: _edit(x, x, m),
+    "x-zero-sign": lambda x, m, held: _edit(x, x, m, to=lambda v: -v),
+    "w_q-in-place": lambda x, m, held: _edit(m.proj.w_q, x, m),
+    "w_k-in-place": lambda x, m, held: _edit(m.proj.w_k, x, m),
+    "w_v-in-place": lambda x, m, held: _edit(m.proj.w_v, x, m),
+    "lam-in-place": lambda x, m, held: _edit(m.lam, x, m),
+    "proj-reassigned": lambda x, m, held: _set(m, "proj", init_projection(Rng(71), 4, 3, x.dtype),
+                                               x, m),
+    "k_spec-reassigned": lambda x, m, held: _set(m, "k_spec", PyramidSpec((3, 4)), x, m),
+    "v_spec-reassigned": lambda x, m, held: _set(m, "v_spec", PyramidSpec((5,)), x, m),
+    "x-other-dtype": _as_f64,
+    "map-dropped": lambda x, m, held: held.clear() or (x, m),
+    "map-made-writable": lambda x, m, held: _set(held[1].flags, "writeable", True, x, m),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSES))
+def test_spa_backward_runs_the_forward_again_after_any_change(case):
+    x, m, g = _spa_case(ops.F32)
+    held = list(spa_forward(x, m))
+    x, m = _MISSES[case](x, m, held)
+    g = g.astype(x.dtype)
+    ref = spa_stages_backward(spa_stages(x, m)[2], g)
+    with instrument.counting() as tally:
+        grads = spa_backward(x, m, g)
+    assert tally == _forward_tally(x, m)
+    _assert_bitwise(grads, ref)
+
+
+def test_spa_forward_backward_pairs_in_threads_match_serial_bit_for_bit():
+    # One module, three inputs on three threads (more than the cores of a small host).
+    # Every thread's forward runs before any backward, so at most one backward finds
+    # its own forward kept; the others must see that it is not theirs.
+    _, m, _ = _spa_case(ops.F32)
+    inputs = [_spa_case(ops.F32, seed)[::2] for seed in (72, 73, 74)]
+
+    def pair(x, g, between=lambda: None):
+        out, attn = spa_forward(x, m)
+        between()
+        return {"out": out, "attn": np.array(attn), **spa_backward(x, m, g)}
+
+    serial = [pair(x, g) for x, g in inputs]
+    results = [[] for _ in inputs]
+    barrier = threading.Barrier(len(inputs), timeout=60)
+
+    def run(i):
+        for _ in range(20):
+            results[i].append(pair(*inputs[i], between=barrier.wait))
+            barrier.wait()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    for ref, got in zip(serial, results):
+        assert len(got) == 20
+        for result in got:
+            _assert_bitwise(result, ref)
 
 
 # --- channel pool attention ----------------------------------------------------
@@ -558,3 +693,19 @@ def test_attention_maps_are_held_once(dtype):
     assert peak(lambda: cpa_forward(x, cpa)) < 2.5 * c_n
     assert peak(lambda: cpa_backward(x, cpa, g)) < 5 * c_n
     assert peak(lambda: spa_backward(x, spa, g)) < 2.5 * t_map
+    # With its map held, spa_backward reuses the forward: the map's gradient and the
+    # blocks of products, about 1.15 T x N maps; 2.2 while it ran the forward again.
+    held = spa_forward(x, spa)
+    assert peak(lambda: spa_backward(x, spa, g)) < 1.5 * t_map
+    del held
+    # Dropping the map drops the kept forward: the traced memory comes back to its
+    # level before the forward, within one x-sized array.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, attn = spa_forward(x, spa)
+        spa_backward(x, spa, g)
+        del out, attn
+        assert tracemalloc.get_traced_memory()[0] - before < x.nbytes
+    finally:
+        tracemalloc.stop()

@@ -202,6 +202,25 @@ def test_softmax_slice_walk_property(dtype, order, axis, m, n, slice_entries, se
         _assert_walk_matches_whole_map(a, axis)
 
 
+# Along axis 0 softmax_backward sums a first block of _ROW_BLOCK + 1 rows of products,
+# then each later block after the running total: these row counts end exactly on a
+# block, one row past one or partway through one (325 = 33 + 9 * 32 + 4).
+_B = ops._ROW_BLOCK
+
+
+@pytest.mark.parametrize("rows", [2, _B, _B + 1, _B + 2, 2 * _B + 1, 2 * _B + 2, 2 * _B + 16, 325])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_backward_row_blocks_match_the_row_loop_bitwise(rows, dtype):
+    s = ops.softmax(Rng(23).fill_uniform((rows, 40), 50.0, dtype), axis=0)
+    grad = Rng(24).fill_uniform(s.shape, 1.0, dtype)
+    inner = grad[0] * s[0]
+    for row in range(1, rows):
+        inner += grad[row] * s[row]
+    got = ops.softmax_backward(s, grad, axis=0)
+    assert got.tobytes() == (s * (grad - inner)).tobytes()
+    assert got.tobytes() == whole_softmax_backward(s, grad, 0).tobytes()
+
+
 def test_softmax_nan_in_the_last_slice_raises():
     a = Rng(23).fill_uniform((2500, 1000), 1.0, np.float32)
     a[-1, -1] = np.nan      # in the last slice of rows and of columns alike
