@@ -40,7 +40,6 @@ class CostReport:
     flops_agg: int = 0
     flops_extra: int = 0     # CPA max + difference
     dtype: str = "f32"
-    spec_names: tuple[str, str] | None = None
 
     @property
     def flops_core(self) -> int:
@@ -52,7 +51,7 @@ class CostReport:
         return self.flops_core + self.flops_proj + self.flops_pool
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "params": self.params,
             "flops_core": self.flops_core,
             "flops_proj": self.flops_proj,
@@ -67,13 +66,10 @@ class CostReport:
                       "h": self.shape[2], "w": self.shape[3]},
             "dtype": self.dtype,
         }
-        if self.spec_names is not None:
-            d["spec_names"] = list(self.spec_names)
-        return d
 
 
-def _attention_cost(c: int, chat: int, h: int, w: int, t: int, flops_pool: int, dtype,
-                    spec_names: tuple[str, str] | None = None) -> CostReport:
+def _attention_cost(c: int, chat: int, h: int, w: int, t: int, flops_pool: int,
+                    dtype) -> CostReport:
     """N queries against T keys and values: map 2*chat*N*T, softmax 5*N*T, aggregation
     2*c*N*T. The queries are projected at all N positions, the keys and values at T."""
     n = h * w
@@ -85,7 +81,6 @@ def _attention_cost(c: int, chat: int, h: int, w: int, t: int, flops_pool: int, 
         shape=(c, chat, h, w),
         flops_map=2 * chat * n * t, flops_softmax=5 * n * t, flops_agg=2 * c * n * t,
         dtype=dtype_name(dtype),
-        spec_names=spec_names,
     )
 
 
@@ -95,7 +90,7 @@ def cost_nonlocal(c: int, chat: int, h: int, w: int, dtype=np.float32) -> CostRe
 
 
 def cost_spa(c: int, chat: int, h: int, w: int, k_spec: PyramidSpec, v_spec: PyramidSpec,
-             dtype=np.float32, spec_names: tuple[str, str] | None = None) -> CostReport:
+             dtype=np.float32) -> CostReport:
     """T-anchor attention: every core term of the baseline with one N replaced by T.
 
     The input is pooled on each pyramid, once when they match.
@@ -107,8 +102,7 @@ def cost_spa(c: int, chat: int, h: int, w: int, k_spec: PyramidSpec, v_spec: Pyr
                               f"{anchor_count(k_spec)}, {v_spec.sizes} gives "
                               f"{anchor_count(v_spec)}")
     flops_pool = h * w * c * sum(len(spec.sizes) for spec in {k_spec, v_spec})
-    return _attention_cost(c, chat, h, w, anchor_count(k_spec), flops_pool, dtype,
-                           spec_names)
+    return _attention_cost(c, chat, h, w, anchor_count(k_spec), flops_pool, dtype)
 
 
 def cost_cpa(c: int, h: int, w: int, with_proj: bool, dtype=np.float32) -> CostReport:

@@ -3,9 +3,10 @@
 Subcommands: flops, bench, equivalence, gradcheck, train-demo, coverage,
 attn. Reports are UTF-8 JSON, newline-terminated, written to stdout and
 optionally mirrored to --out. Exit codes: 0 success, 1 verification
-failure, 2 usage/format error, 3 resource limit exceeded; each error class in
-`errors` carries its own, an OSError on an input or output path exits 2, and a
-MemoryError that escapes a subcommand exits 3.
+failure (a report whose `all_passed` is false), 2 usage/format error, 3
+resource limit exceeded; each error class in `errors` carries its own, an
+OSError on an input or output path exits 2, and a MemoryError that escapes a
+subcommand exits 3.
 """
 
 from __future__ import annotations
@@ -167,14 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-attn", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chat", type=_positive, default=None)
-    p.add_argument("--spec-k", default="paper-even")
-    p.add_argument("--spec-v", default="paper-odd")
-    p.add_argument("--cpa-mode", choices=[m.value for m in CpaMode], default="subtract")
+    p.add_argument("--spec-k", default=None, help="spa key pyramid (default paper-even)")
+    p.add_argument("--spec-v", default=None, help="spa value pyramid (default paper-odd)")
+    p.add_argument("--cpa-mode", choices=[m.value for m in CpaMode], default=None)
     p.add_argument("--with-proj", action="store_true")
-    p.add_argument("--lam", type=_finite_float, default=1.0,
-                   help="spa/nonlocal gate, any finite value (0 is the closed gate)")
-    p.add_argument("--mu", type=_finite_float, default=1.0,
-                   help="cpa gate, any finite value (0 is the closed gate)")
+    p.add_argument("--lam", type=_finite_float, default=None,
+                   help="spa/nonlocal gate, any finite value (default 1; 0 is the closed gate)")
+    p.add_argument("--mu", type=_finite_float, default=None,
+                   help="cpa gate, any finite value (default 1; 0 is the closed gate)")
     p.add_argument("--mem-limit", type=_positive, default=None,
                    help="abort (exit 3) before the forward if the module's attention map "
                         "exceeds this many bytes")
@@ -203,14 +204,27 @@ def _parse_spec_groups(text: str) -> list:
     return specs
 
 
-# The gradcheck kinds that read each flag; any other kind refuses it.
-_GRADCHECK_READERS = {"c": ("nonlocal", "spa", "cpa"), "chat": ("nonlocal", "spa"),
-                      "hw": ("nonlocal", "spa", "cpa"), "spec": ("spa", "network"),
-                      "spec_even": ("spa",), "mode": ("spa", "cpa"),
-                      "with_proj": ("cpa",), "size": ("network",)}
+# Per subcommand, the flag that picks what runs, and the choices that read each optional
+# flag; any other choice refuses it. A given flag is neither None nor False (0.0 is given).
+_READERS = {
+    "gradcheck": ("kind", {"c": ("nonlocal", "spa", "cpa"), "chat": ("nonlocal", "spa"),
+                           "hw": ("nonlocal", "spa", "cpa"), "spec": ("spa", "network"),
+                           "spec_even": ("spa",), "mode": ("spa", "cpa"),
+                           "with_proj": ("cpa",), "size": ("network",)}),
+    "attn": ("module", {"chat": ("nonlocal", "spa"), "lam": ("nonlocal", "spa"),
+                        "spec_k": ("spa",), "spec_v": ("spa",), "cpa_mode": ("cpa",),
+                        "with_proj": ("cpa",), "mu": ("cpa",)}),
+}
 
 
-def _run(args, parser: argparse.ArgumentParser) -> int:
+def _run(args, parser: argparse.ArgumentParser) -> dict:
+    """The subcommand's report; the stderr lines of its own are printed here."""
+    selector, readers = _READERS.get(args.command, ("command", {}))
+    for flag, choices in readers.items():
+        value = getattr(args, flag)
+        if value is not None and value is not False and getattr(args, selector) not in choices:
+            raise errors.ConfigurationError(f"--{flag.replace('_', '-')} is not read by "
+                                            f"--{selector} {getattr(args, selector)}")
     if args.command == "flops":
         h, w = _spatial(args, parser)
         report = harness.flops_report(args.c, args.chat or args.c, h, w,
@@ -218,34 +232,25 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
                                       args.dtype, args.include_softmax)
         for warning in report["warnings"]:
             print(f"warning: {warning}", file=sys.stderr)
-        _emit(report, args.out)
-        return EXIT_OK
+        return report
 
     if args.command == "bench":
         h, w = _spatial(args, parser)
-        report = harness.bench_report(args.c, args.chat or args.c, h, w,
-                                      parse_spec(args.spec_k), parse_spec(args.spec_v),
-                                      args.dtype, args.reps, args.warmup, args.seed,
-                                      args.mem_limit)
-        _emit(report, args.out)
-        return EXIT_OK
+        return harness.bench_report(args.c, args.chat or args.c, h, w,
+                                    parse_spec(args.spec_k), parse_spec(args.spec_v),
+                                    args.dtype, args.reps, args.warmup, args.seed,
+                                    args.mem_limit)
 
     if args.command == "equivalence":
         report = harness.equivalence_report(args.seeds, args.sizes, args.channels, args.tol)
-        _emit(report, args.out)
         if not report["all_passed"]:
             failing = next(c for c in report["cases"] if not c["passed"])
             print(f"equivalence failed: seed={failing['seed']} size={failing['size']} "
                   f"channels={failing['channels']} max_abs_diff={failing['max_abs_diff']}",
                   file=sys.stderr)
-            return EXIT_VERIFY
-        return EXIT_OK
+        return report
 
     if args.command == "gradcheck":
-        for flag, kinds in _GRADCHECK_READERS.items():
-            if getattr(args, flag) not in (None, False) and args.kind not in kinds:
-                raise errors.ConfigurationError(f"--{flag.replace('_', '-')} is not read "
-                                                f"by --kind {args.kind}")
         config: dict = {}
         if args.kind in ("nonlocal", "spa", "cpa"):
             config = {"c": args.c or 4, "height": args.hw or 6, "width": args.hw or 6}
@@ -269,33 +274,23 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
             config["with_proj"] = args.with_proj
         elif args.kind == "network":
             config = {"size": args.size or 8, "odd": parse_spec(args.spec or "1,2").sizes}
-        report = harness.gradcheck_report(args.kind, config, args.seed, args.h, args.tol)
-        _emit(report, args.out)
-        return EXIT_OK if report["all_passed"] else EXIT_VERIFY
+        return harness.gradcheck_report(args.kind, config, args.seed, args.h, args.tol)
 
     if args.command == "train-demo":
-        report = harness.train_demo_report(args.seed, args.size, args.steps, args.lr,
-                                           args.momentum, args.poly_power, args.count,
-                                           args.batch, args.spa_mode, args.spec,
-                                           args.cpa_mode)
-        _emit(report, args.out)
-        return EXIT_OK
+        return harness.train_demo_report(args.seed, args.size, args.steps, args.lr,
+                                         args.momentum, args.poly_power, args.count,
+                                         args.batch, args.spa_mode, args.spec, args.cpa_mode)
 
     if args.command == "coverage":
-        report = harness.coverage_report(_parse_spec_groups(args.specs), args.hw)
-        _emit(report, args.out)
-        return EXIT_OK
+        return harness.coverage_report(_parse_spec_groups(args.specs), args.hw)
 
-    if args.command == "attn":
-        report = harness.attn_report(args.input, args.module, args.out_tensor,
-                                     args.out_attn, args.seed, args.chat,
-                                     parse_spec(args.spec_k), parse_spec(args.spec_v),
-                                     args.cpa_mode, args.with_proj, args.lam, args.mu,
-                                     args.mem_limit)
-        _emit(report, None)
-        return EXIT_OK
-
-    parser.error(f"unknown command {args.command!r}")
+    # attn: the subparsers are required, so argparse has refused any other command
+    return harness.attn_report(args.input, args.module, args.out_tensor, args.out_attn,
+                               args.seed, args.chat, parse_spec(args.spec_k or "paper-even"),
+                               parse_spec(args.spec_v or "paper-odd"),
+                               args.cpa_mode or "subtract", args.with_proj,
+                               1.0 if args.lam is None else args.lam,
+                               1.0 if args.mu is None else args.mu, args.mem_limit)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -305,7 +300,9 @@ def main(argv: list[str] | None = None) -> int:
         cap = threads.thread_cap()  # validated here; applied at import in __init__
         if cap is not None and args.command == "bench":
             print(f"thread cap: {cap}", file=sys.stderr)
-        return _run(args, parser)
+        report = _run(args, parser)
+        _emit(report, getattr(args, "out", None))
+        return EXIT_OK if report.get("all_passed", True) else EXIT_VERIFY
     except errors.PoolAttnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -135,7 +135,7 @@ def _spa_case(config, rng, seed):
     odd = PyramidSpec(tuple(config["odd"])) if "odd" in config else None
     even = PyramidSpec(tuple(config["even"])) if "even" in config else None
     proj = init_projection(rng, c, chat)
-    m = spa_module(proj, SpaMode(config.get("mode", "only-odd")), odd_spec=odd,
+    m = spa_module(proj, SpaMode(config["mode"]), odd_spec=odd,
                    even_spec=even, lam=_gate(config, "lam", rng))
     x = rng.fill_uniform((c, *hw), 1.0)
     return ({"x": x, **m.params}, lambda: spa_forward(x, m)[0],
@@ -144,17 +144,17 @@ def _spa_case(config, rng, seed):
 
 def _cpa_case(config, rng, seed):
     c, _, hw = _dims(config)
-    proj = init_projection(rng, c) if config.get("with_proj", False) else None
-    m = CpaModule(proj, CpaMode(config.get("mode", "subtract")), _gate(config, "mu", rng))
+    proj = init_projection(rng, c) if config["with_proj"] else None
+    m = CpaModule(proj, CpaMode(config["mode"]), _gate(config, "mu", rng))
     x = rng.fill_uniform((c, *hw), 1.0)
     return ({"x": x, **m.params}, lambda: cpa_forward(x, m)[0],
             lambda g: cpa_backward(x, m, g), x.shape)
 
 
 def _network_case(config, rng, seed):
-    size = config.get("size", 8)
+    size = config["size"]
     model = network.build_model(seed, channels=config.get("channels", 16),
-                                odd_spec=PyramidSpec(tuple(config.get("odd", (1, 3)))))
+                                odd_spec=PyramidSpec(tuple(config["odd"])))
     model.spa.lam[...] = 0.5 + rng.next_unit()
     model.cpa.mu[...] = 0.5 + rng.next_unit()
     image = rng.fill_uniform((3, size, size), 1.0)

@@ -22,8 +22,8 @@ from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_forward,
                         init_projection, nonlocal_forward, spa_forward)
 from .errors import ConfigurationError, ResourceLimitError
 from .ops import resolve_dtype
-from .pooling import PyramidSpec, anchor_count, boundary_histogram, interior_offsets, \
-    parse_spec, spec_name
+from .pooling import TOY_EVEN_MATCHED, TOY_ODD_MATCHED, PyramidSpec, anchor_count, \
+    boundary_histogram, interior_offsets, parse_spec, spec_name
 from .rng import Rng
 from .threads import thread_cap
 from .version import __version__
@@ -55,7 +55,7 @@ def flops_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
     dtype = resolve_dtype(dtype_name)
     names = (spec_name(spec_k), spec_name(spec_v))
     nb = accounting.cost_nonlocal(c, chat, h, w, dtype)
-    spa = accounting.cost_spa(c, chat, h, w, spec_k, spec_v, dtype, spec_names=names)
+    spa = accounting.cost_spa(c, chat, h, w, spec_k, spec_v, dtype)
     ratio = accounting.reduction_ratio(nb, spa, include_softmax)
     warnings = []
     t, n = anchor_count(spec_k), h * w
@@ -72,7 +72,7 @@ def flops_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
                    "spec_k": names[0], "spec_v": names[1],
                    "include_softmax": include_softmax},
         "nonlocal": nb.as_dict(),
-        "spa": spa.as_dict(),
+        "spa": {**spa.as_dict(), "spec_names": list(names)},
         "reduction_ratio": ratio,
         "warnings": warnings,
     }
@@ -199,13 +199,13 @@ def train_demo_report(seed: int, size: int, steps: int, lr: float, momentum: flo
         if spec_text is not None:
             raise ConfigurationError(f"mixed mode pairs the matched toy pyramids and takes "
                                      f"no pyramid spec, got {spec_text!r}")
-        model = network.build_model(seed, spa_mode=mode, cpa_mode=CpaMode(cpa_mode))
-        spec_label = (f"{spec_name(model.spa.v_spec)}+{spec_name(model.spa.k_spec)}")
+        odd, even = TOY_ODD_MATCHED, TOY_EVEN_MATCHED
+        spec_label = f"{spec_name(odd)}+{spec_name(even)}"
     else:
-        spec = parse_spec(spec_text or "toy-odd")
-        model = network.build_model(seed, spa_mode=mode, odd_spec=spec, even_spec=spec,
-                                    cpa_mode=CpaMode(cpa_mode))
-        spec_label = spec_name(spec)
+        odd = even = parse_spec(spec_text or "toy-odd")
+        spec_label = spec_name(odd)
+    model = network.build_model(seed, spa_mode=mode, odd_spec=odd, even_spec=even,
+                                cpa_mode=CpaMode(cpa_mode))
     data = network.synth_dataset(seed, count, size)
     report = network.train(model, data, cfg)
     return {

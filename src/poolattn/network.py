@@ -20,7 +20,7 @@ from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, _checked, _upstr
                         spa_stages, spa_stages_backward)
 from .errors import ConfigurationError, NonFiniteError, TrainingDivergenceError
 from .ops import _finite, _quiet
-from .pooling import TOY_EVEN_MATCHED, TOY_ODD, TOY_ODD_MATCHED, PyramidSpec
+from .pooling import TOY_ODD, PyramidSpec
 from .rng import Rng
 
 STEM_KERNEL = 3
@@ -66,9 +66,8 @@ def build_model(seed: int, channels: int = 16,
                 odd_spec: PyramidSpec = TOY_ODD,
                 even_spec: PyramidSpec | None = None,
                 cpa_mode: CpaMode = CpaMode.SUBTRACT) -> DpaNetMini:
-    """Seed-deterministic float64 model: two classes, projection-free CPA, both gates at 0."""
-    if spa_mode is SpaMode.MIXED and even_spec is None:
-        odd_spec, even_spec = TOY_ODD_MATCHED, TOY_EVEN_MATCHED
+    """Seed-deterministic float64 model: two classes, projection-free CPA, both gates at 0.
+    Mixed mode needs both pyramids: `even_spec` pools the keys, `odd_spec` the values."""
     rng = Rng(seed)
     stem_w1 = ops.init_weight(rng, (channels, 3, STEM_KERNEL, STEM_KERNEL),
                               3 * STEM_KERNEL * STEM_KERNEL)

@@ -61,12 +61,12 @@ def test_reduction_ratio_full_resolution_is_one():
     nb = cost_nonlocal(8, 8, 4, 4)
     spa = cost_spa(8, 8, 4, 4, spec, spec)
     assert reduction_ratio(nb, spa) == 1.0
-    # The baseline is SPA at T = N: only the pooling adds and the pyramid names differ.
+    # The baseline is SPA at T = N: only the pooling adds differ.
     for c, chat, dtype in [(8, 8, np.float32), (8, 3, np.float64)]:
         nb = cost_nonlocal(c, chat, 4, 4, dtype)
-        spa = cost_spa(c, chat, 4, 4, spec, spec, dtype, spec_names=("4", "4"))
-        assert spa.flops_pool == 16 * c and spa.spec_names == ("4", "4")
-        assert replace(spa, flops_pool=0, spec_names=None) == nb
+        spa = cost_spa(c, chat, 4, 4, spec, spec, dtype)
+        assert spa.flops_pool == 16 * c
+        assert replace(spa, flops_pool=0) == nb
 
 
 def test_reduction_ratio_channel_invariant_and_softmax_neutral():

@@ -57,6 +57,9 @@ def test_flops_headline_numbers():
     assert report["nonlocal"]["params"] == report["spa"]["params"]
     assert report["warnings"] == []
     assert out.stdout.endswith("\n")
+    # The pyramid label rides on the flops report's spa entry, as its last key.
+    assert report["spa"]["spec_names"] == ["paper-even", "paper-odd"]
+    assert list(report["spa"])[-1] == "spec_names" and "spec_names" not in report["nonlocal"]
 
 
 def test_flops_degenerate_size_warns():
@@ -135,7 +138,7 @@ def test_equivalence_default_suite_passes():
     assert report["all_passed"] and len(report["cases"]) == 10
 
 
-def test_equivalence_injected_failure_detected(monkeypatch, capsys):
+def test_equivalence_injected_failure_detected(monkeypatch, capsys, tmp_path):
     real = harness.nonlocal_forward
 
     def off_by_1e9(x, proj, lam):
@@ -143,12 +146,15 @@ def test_equivalence_injected_failure_detected(monkeypatch, capsys):
         return out + 1e-9, attn
 
     monkeypatch.setattr(harness, "nonlocal_forward", off_by_1e9)
-    assert cli.main(["equivalence", "--seeds", "2", "--sizes", "3", "--channels", "2"]) == 1
+    mirror = tmp_path / "report.json"
+    assert cli.main(["equivalence", "--seeds", "2", "--sizes", "3", "--channels", "2",
+                     "--out", str(mirror)]) == 1
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     validate("equivalence", report)
     assert not report["all_passed"]
     assert "equivalence failed" in captured.err
+    assert mirror.read_text(encoding="utf-8") == captured.out
 
 
 @pytest.mark.parametrize("seeds,sizes,channels", [(0, [3], [2]), (-1, [3], [2]),
@@ -176,13 +182,15 @@ def test_gradcheck_all_runs_the_manifest():
     assert len({r["case"] for r in report["reports"]}) == 12
 
 
-def test_gradcheck_unreachable_tolerance_exits_1():
+def test_gradcheck_unreachable_tolerance_exits_1(tmp_path):
+    mirror = tmp_path / "report.json"
     out = run_cli("gradcheck", "--kind", "spa", "--c", "4", "--hw", "6",
-                  "--spec", "1,2", "--tol", "1e-12")
+                  "--spec", "1,2", "--tol", "1e-12", "--out", str(mirror))
     assert out.returncode == 1
     report = json.loads(out.stdout)
     validate("gradcheck", report)
     assert not report["all_passed"]
+    assert mirror.read_text(encoding="utf-8") == out.stdout
 
 
 def test_train_demo_rejects_zero_steps():
@@ -571,6 +579,10 @@ def test_gradcheck_report_keeps_its_step_apart_from_the_map_size():
     assert (config["h"], config["height"], config["width"]) == (1e-6, 5, 5)
 
 
+# The refusal comes before the input is read, so the input need not exist.
+_ATTN = ["attn", "--input", "x.dpt", "--out-tensor", "o.dpt", "--out-attn", "a.dpt", "--module"]
+
+
 @pytest.mark.parametrize("args, names", [
     (["train-demo", "--spa-mode", "mixed", "--spec", "1,2"], "takes no pyramid spec"),
     (["gradcheck", "--kind", "spa", "--spec-even", "1,2"], "--spec-even"),
@@ -584,11 +596,22 @@ def test_gradcheck_report_keeps_its_step_apart_from_the_map_size():
     (["gradcheck", "--kind", "network", "--mode", "mixed"], "--mode"),
     (["gradcheck", "--kind", "all", "--c", "3"], "--c"),
     (["gradcheck", "--kind", "all", "--spec", "1,2"], "--spec"),
+    ([*_ATTN, "cpa", "--chat", "8"], "--chat is not read by --module cpa"),
+    ([*_ATTN, "cpa", "--spec-k", "1,3,5"], "--spec-k is not read by --module cpa"),
+    ([*_ATTN, "cpa", "--spec-v", "1,3,5"], "--spec-v is not read by --module cpa"),
+    ([*_ATTN, "cpa", "--lam", "0"], "--lam is not read by --module cpa"),
+    ([*_ATTN, "nonlocal", "--spec-k", "1,2"], "--spec-k is not read by --module nonlocal"),
+    ([*_ATTN, "nonlocal", "--mu", "2"], "--mu is not read by --module nonlocal"),
+    ([*_ATTN, "nonlocal", "--with-proj"], "--with-proj is not read by --module nonlocal"),
+    ([*_ATTN, "spa", "--cpa-mode", "square"], "--cpa-mode is not read by --module spa"),
+    ([*_ATTN, "spa", "--mu", "0"], "--mu is not read by --module spa"),
 ], ids=["train-demo-mixed-spec", "gradcheck-spec-even-without-mixed",
         "gradcheck-cpa-spec-even", "gradcheck-nonlocal-with-proj", "gradcheck-nonlocal-mode",
         "gradcheck-cpa-chat", "gradcheck-cpa-spec", "gradcheck-spa-size",
         "gradcheck-network-hw", "gradcheck-network-mode", "gradcheck-all-c",
-        "gradcheck-all-spec"])
+        "gradcheck-all-spec", "attn-cpa-chat", "attn-cpa-spec-k", "attn-cpa-spec-v",
+        "attn-cpa-lam-0", "attn-nonlocal-spec-k", "attn-nonlocal-mu", "attn-nonlocal-with-proj",
+        "attn-spa-cpa-mode", "attn-spa-mu-0"])
 def test_unused_pyramid_flag_exits_2(args, names):
     out = run_cli(*args)
     assert out.returncode == 2

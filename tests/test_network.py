@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from poolattn import ops
+from poolattn.attention import SpaMode
 from poolattn.errors import ConfigurationError, TrainingDivergenceError
 from poolattn.network import (TrainConfig, backward, build_model, forward,
                               pixel_accuracy, poly_lr, synth_dataset, train)
-from poolattn.pooling import PyramidSpec
+from poolattn.pooling import TOY_EVEN_MATCHED, TOY_ODD_MATCHED, PyramidSpec
 
 # Regression baseline of the pinned demo configuration (seed 7, 16x16, 300 steps,
 # lr 0.05, momentum 0.9, 4 samples, full batch). The 300 steps amplify rounding: a
@@ -176,6 +177,16 @@ def test_train_config_validation():
 def test_train_config_rejects_non_finite_rates(rates):
     with pytest.raises(ConfigurationError, match="must be finite"):
         TrainConfig(momentum=0.9, steps=1, **rates)
+
+
+def test_build_model_mixed_mode_needs_both_pyramids():
+    # The matched toy pair is the train demo's choice, not a library default.
+    for specs in ({}, {"odd_spec": TOY_ODD_MATCHED}):
+        with pytest.raises(ConfigurationError, match="mixed mode needs both"):
+            build_model(4, spa_mode=SpaMode.MIXED, **specs)
+    model = build_model(4, spa_mode=SpaMode.MIXED, odd_spec=TOY_ODD_MATCHED,
+                        even_spec=TOY_EVEN_MATCHED)
+    assert (model.spa.k_spec, model.spa.v_spec) == (TOY_EVEN_MATCHED, TOY_ODD_MATCHED)
 
 
 def test_train_rejects_undersized_images():
