@@ -15,7 +15,8 @@
   through the C x C Gram matrix `G = X·Xᵀ` and one product with X, so the
   bias-free projections act on C x C matrices: `d = W_q·G·W_kᵀ` and
   `agg = (attn·W_v)·X` (`d = G`, `agg = attn·X` without projections). A
-  forward makes two C x N-wide products and a backward four.
+  forward makes two C x N-wide products and a backward five, one of them the
+  forward's `agg` again.
 
 Every mechanism has one shape. Its `params` are a dict of its live arrays
 (`w_q`, `w_k`, `w_v` where it has projections, and the gate `lam` or `mu`
@@ -28,16 +29,19 @@ output's raises DimensionError. The analytic reverse-mode derivations are
 validated against finite differences (see gradcheck). Transposed operands
 reach `ops.matmul` as views, which BLAS reads in place, not as copies.
 
-`spa_forward` returns its T x N map as a read-only view and keeps its forward
-while the caller holds that map. `spa_backward(x, m, g)` reuses it when `x` and
-`m` are the same objects and neither has changed since (every input value,
-parameter and pyramid is compared with a copy), so a forward followed by its
-backward pools, projects and normalises once; otherwise it runs the forward
-again. The forward is deterministic, so both give the same bits. Dropping the
-map drops the kept forward. CPA and non-local rerun theirs: CPA's forward is
-two C x N-wide products, and the copy of `x` the check needs would be a third
-C x N array beside its aggregation and output; non-local's one-call backward
-serves gradient checks at small shapes.
+`spa_forward` and `cpa_forward` return their map as a read-only view and keep
+their forward while the caller holds that map; one slot holds the last SPA or
+CPA forward. `spa_backward(x, m, g)` and `cpa_backward(x, m, g)` reuse it when
+`x` and `m` are the same objects and neither has changed since (every input
+value and parameter is compared with a copy, and the module's other fields are
+the same objects), so a forward followed by its backward runs the forward's
+products and softmax once; otherwise they run the forward again. The forward is
+deterministic, so both give the same bits. Dropping the map drops the kept
+forward. CPA's cache holds no C x N array of its own: its forward forms the gated
+output in the aggregation's buffer and its backward forms the aggregation again,
+the same product of the same operands, so with the kept copy of `x` the forward
+holds two C x N arrays. Non-local's one-call backward reruns its forward; it serves
+gradient checks at small shapes.
 
 Each stage function runs inside one `np.errstate` and checks each stage output
 once (`proj`, `pool`, `map` through the softmax's input check, `agg`, the gated
@@ -197,11 +201,13 @@ def _project(w: np.ndarray, x_flat: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-def _gate_forward(agg: np.ndarray, gate: np.ndarray | float, xf: np.ndarray, name: str):
+def _gate_forward(agg: np.ndarray, gate: np.ndarray | float, xf: np.ndarray, name: str,
+                  out: np.ndarray | None = None):
     """Check agg, then give the residual output `gate * agg + x` (row-major), checked;
-    x is added in place, so no C x N temporary is made."""
+    x is added in place, so no C x N temporary is made. `out=agg` forms it in agg's
+    buffer."""
     _finite(agg, f"{name} agg")
-    out = np.multiply(agg, agg.dtype.type(gate), order="C")
+    out = np.multiply(agg, agg.dtype.type(gate), out=out, order="C")
     out += xf
     return _finite(out, f"{name} out")
 
@@ -328,39 +334,65 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
             and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}")))
 
 
+def _config(m: SpaModule | CpaModule) -> tuple:
+    """The module's fields a forward reads besides its params, compared by identity:
+    `==` on ProjectionWeights compares arrays."""
+    return (m.proj, m.k_spec, m.v_spec) if isinstance(m, SpaModule) else (m.proj, m.mode)
+
+
 @dataclass(frozen=True)
-class _SpaForward:
-    """The last spa_forward: its cache, the objects it read and copies of their values."""
+class _KeptForward:
+    """The last spa_forward or cpa_forward: its cache, the objects it read and copies
+    of their values."""
 
     map_ref: weakref.ref                 # the read-only map handed to the caller
     x: np.ndarray
-    m: SpaModule
+    m: SpaModule | CpaModule
     x_copy: np.ndarray
     params: dict[str, np.ndarray]
-    specs: tuple[PyramidSpec, PyramidSpec]
+    config: tuple
     cache: tuple
 
-    def serves(self, x: np.ndarray, m: SpaModule) -> bool:
+    def serves(self, x: np.ndarray, m: SpaModule | CpaModule) -> bool:
         """Whether the map is still held, still read-only, and `x` and `m` are the
-        forward's own objects with the values it read."""
+        forward's own objects with the values and fields it read."""
         attn = self.map_ref()
+        params = m.params
         return (attn is not None and not attn.flags.writeable and x is self.x
                 and m is self.m and _same_bits(x, self.x_copy)
-                and (m.k_spec, m.v_spec) == self.specs
-                and all(_same_bits(np.asarray(v), self.params[k]) for k, v in m.params.items()))
+                and all(a is b for a, b in zip(_config(m), self.config))
+                and params.keys() == self.params.keys()
+                and all(_same_bits(np.asarray(v), self.params[k]) for k, v in params.items()))
 
 
-_last_spa: _SpaForward | None = None     # replaced whole, so a thread reads one forward
+_kept: _KeptForward | None = None        # replaced whole, so a thread reads one forward
 
 
-def _forget_spa(map_ref: weakref.ref) -> None:
+def _forget(map_ref: weakref.ref) -> None:
     """The caller dropped the map: drop the forward kept with it, unless a later one
     has taken its place. A later one stored by another thread between the check and
     the store is dropped too; its backward then runs the forward again, same bits."""
-    global _last_spa
-    last = _last_spa
+    global _kept
+    last = _kept
     if last is not None and last.map_ref is map_ref:
-        _last_spa = None
+        _kept = None
+
+
+def _keep(x: np.ndarray, m: SpaModule | CpaModule, attn: np.ndarray, cache: tuple) -> np.ndarray:
+    """Keep this forward in the slot while the caller holds the read-only view of its
+    map that this returns."""
+    global _kept
+    view = attn.view()
+    view.flags.writeable = False
+    _kept = _KeptForward(weakref.ref(view, _forget), x, m, x.copy(),
+                         {k: np.array(v) for k, v in m.params.items()}, _config(m), cache)
+    return view
+
+
+def _kept_cache(x: np.ndarray, m: SpaModule | CpaModule, stages) -> tuple:
+    """The kept forward's cache when it serves (x, m); otherwise `stages(x, m)`'s."""
+    last = _kept
+    return last.cache if last is not None and last.serves(x, m) else stages(x, m)[2]
 
 
 def spa_forward(x: np.ndarray, m: SpaModule) -> tuple[np.ndarray, np.ndarray]:
@@ -370,23 +402,15 @@ def spa_forward(x: np.ndarray, m: SpaModule) -> tuple[np.ndarray, np.ndarray]:
     for `spa_backward` with the same `x` and `m` (see the module docstring); the
     kept copies are `x` and the parameters.
     """
-    global _last_spa
     out, attn, cache = spa_stages(x, m)
-    view = attn.view()
-    view.flags.writeable = False
-    _last_spa = _SpaForward(weakref.ref(view, _forget_spa), x, m, x.copy(),
-                            {k: np.array(v) for k, v in m.params.items()},
-                            (m.k_spec, m.v_spec), cache)
-    return out, view
+    return out, _keep(x, m, attn, cache)
 
 
 def spa_backward(x: np.ndarray, m: SpaModule, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of `spa_forward(x, m)` given grad_out. The forward whose map the caller
     still holds is reused when `x` and `m` are its objects, unchanged; any other call
     runs the forward first. Both give the same bits."""
-    last = _last_spa
-    cache = last.cache if last is not None and last.serves(x, m) else spa_stages(x, m)[2]
-    return spa_stages_backward(cache, grad_out)
+    return spa_stages_backward(_kept_cache(x, m, spa_stages), grad_out)
 
 
 # --- channel pool attention ----------------------------------------------
@@ -411,15 +435,17 @@ def cpa_stages(x: np.ndarray, m: CpaModule):
     mix = attn if m.proj is None else _project(attn, m.proj.w_v, "cpa")
     agg = ops.matmul(mix, xf)                            # C x N
     instrument.add("agg", 2 * xf.shape[1] * attn.size)
-    out = _gate_forward(agg, m.mu, xf, "cpa").reshape(c, h, w)
-    return out, attn, (x.shape, xf, m, gram, d, diff, attn, mix, agg)
+    out = _gate_forward(agg, m.mu, xf, "cpa", out=agg).reshape(c, h, w)
+    return out, attn, (x.shape, xf, m, gram, d, diff, attn, mix)
 
 
 @_quiet
 def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    shape, xf, m, gram, d, diff, attn, mix, agg = cache
+    shape, xf, m, gram, d, diff, attn, mix = cache
     g = _upstream(grad_out, shape, "cpa")
-    d_mu, d_agg = _gate_backward(g, agg, m.mu)
+    # The forward's aggregation again, the same product of the same operands: the
+    # forward formed its output in that buffer. Only d_mu reads it.
+    d_mu, d_agg = _gate_backward(g, ops.matmul(mix, xf), m.mu)
     d_mix = ops.matmul(d_agg, xf.T)                      # C x C
     d_attn = d_mix if m.proj is None else ops.matmul(d_mix, m.proj.w_v.T)
     d_gated = ops.softmax_backward(attn, d_attn, axis=1)
@@ -444,12 +470,22 @@ def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def cpa_forward(x: np.ndarray, m: CpaModule) -> tuple[np.ndarray, np.ndarray]:
-    """Channel reweighting through the max-difference affinity; returns output and C x C map."""
-    return cpa_stages(x, m)[:2]
+    """Channel reweighting through the max-difference affinity; returns the output and
+    the C x C map.
+
+    The map is a read-only view. While the caller holds it, this forward is kept
+    for `cpa_backward` with the same `x` and `m` (see the module docstring); the
+    kept copies are `x` and the parameters.
+    """
+    out, attn, cache = cpa_stages(x, m)
+    return out, _keep(x, m, attn, cache)
 
 
 def cpa_backward(x: np.ndarray, m: CpaModule, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    return cpa_stages_backward(cpa_stages(x, m)[2], grad_out)
+    """Gradients of `cpa_forward(x, m)` given grad_out. The forward whose map the caller
+    still holds is reused when `x` and `m` are its objects, unchanged; any other call
+    runs the forward first. Both give the same bits."""
+    return cpa_stages_backward(_kept_cache(x, m, cpa_stages), grad_out)
 
 
 def param_count(obj) -> int:

@@ -101,6 +101,8 @@ def _read_json_tensor(path: str | Path, raw: bytes) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise DptFormatError(f"{path}: JSON tensor shape and data must be numbers "
                              f"({exc})") from exc
+    if not 1 <= len(shape) <= 4:
+        raise DptFormatError(f"{path}: rank {len(shape)} outside 1..4")
     if any(d < 1 for d in shape):
         raise DptFormatError(f"{path}: dims must be >= 1, got {shape}")
     if data.size != math.prod(shape):

@@ -1,12 +1,13 @@
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolattn import gradcheck, instrument, ops
-from poolattn.accounting import cost_spa
+from poolattn.accounting import cost_cpa, cost_spa
 from poolattn.attention import (CpaMode, CpaModule, ProjectionWeights, SpaMode, SpaModule,
                                 cpa_backward, cpa_forward, cpa_stages, cpa_stages_backward,
                                 init_projection,
@@ -193,7 +194,9 @@ def test_spa_module_factory_mode_assignment():
         spa_module(proj, SpaMode.MIXED, odd_spec=odd)
 
 
-# --- SPA's one-call backward and the forward it follows ---------------------------
+# --- The one-call backwards and the forward they follow -----------------------------
+# SPA and CPA keep their last forward in one slot; the SPA tests take the CPA cases
+# as further parameters or loops.
 
 def _spa_case(dtype, seed=70):
     """x, a mixed-mode module on two distinct 25-anchor pyramids, and an upstream gradient."""
@@ -203,6 +206,19 @@ def _spa_case(dtype, seed=70):
     x = rng.fill_uniform((4, 10, 10), 1.0, dtype)
     x[0, 0, 0] = 0.0                         # a zero whose sign a case flips
     return x, m, rng.fill_uniform((4, 10, 10), 1.0, dtype)
+
+
+def _cpa_case(dtype, seed=70, proj=True, mode=CpaMode.SUBTRACT):
+    """x, a CPA module (projected or plain) and an upstream gradient."""
+    rng = Rng(seed)
+    m = CpaModule(init_projection(rng, 4, None, dtype) if proj else None, mode, 0.7)
+    x = rng.fill_uniform((4, 10, 10), 1.0, dtype)
+    x[0, 0, 0] = 0.0
+    return x, m, rng.fill_uniform((4, 10, 10), 1.0, dtype)
+
+
+_MECHANISMS = {SpaModule: (spa_forward, spa_backward, spa_stages, spa_stages_backward),
+               CpaModule: (cpa_forward, cpa_backward, cpa_stages, cpa_stages_backward)}
 
 
 def _assert_bitwise(got, ref):
@@ -215,32 +231,46 @@ def _assert_bitwise(got, ref):
 def _forward_tally(x, m):
     """The forward's FLOPs by stage, from the closed form."""
     c, h, w = x.shape
-    cost = cost_spa(c, m.proj.reduced, h, w, m.k_spec, m.v_spec, x.dtype)
-    return {"proj": cost.flops_proj, "pool": cost.flops_pool, "map": cost.flops_map,
-            "softmax": cost.flops_softmax, "agg": cost.flops_agg}
+    if isinstance(m, SpaModule):
+        cost = cost_spa(c, m.proj.reduced, h, w, m.k_spec, m.v_spec, x.dtype)
+        return {"proj": cost.flops_proj, "pool": cost.flops_pool, "map": cost.flops_map,
+                "softmax": cost.flops_softmax, "agg": cost.flops_agg}
+    cost = cost_cpa(c, h, w, m.proj is not None, x.dtype)
+    tally = {"proj": cost.flops_proj, "map": cost.flops_map, "maxdiff": cost.flops_extra,
+             "softmax": cost.flops_softmax, "agg": cost.flops_agg}
+    return {k: v for k, v in tally.items() if v}       # plain CPA tallies no proj
 
 
-@pytest.mark.parametrize("dtype", [ops.F32, ops.F64], ids=["f32", "f64"])
-def test_spa_backward_reuses_the_held_forward_bit_for_bit(dtype):
-    x, m, g = _spa_case(dtype)
-    ref = spa_stages_backward(spa_stages(x, m)[2], g)
+_HELD = {"f32": partial(_spa_case, ops.F32), "f64": partial(_spa_case, ops.F64),
+         **{f"cpa-{'proj' if proj else 'plain'}-{mode.value}-{name}":
+            partial(_cpa_case, dtype, proj=proj, mode=mode)
+            for name, dtype in (("f32", ops.F32), ("f64", ops.F64))
+            for proj in (False, True) for mode in CpaMode}}
+
+
+@pytest.mark.parametrize("case", list(_HELD))
+def test_spa_backward_reuses_the_held_forward_bit_for_bit(case):
+    x, m, g = _HELD[case]()
+    forward, backward, stages, stages_backward = _MECHANISMS[type(m)]
+    ref = stages_backward(stages(x, m)[2], g)
     with instrument.counting() as forward_tally:
-        out, attn = spa_forward(x, m)
+        out, attn = forward(x, m)
     assert forward_tally == _forward_tally(x, m)
     for _ in range(2):                       # a second backward reuses it as well
         with instrument.counting() as tally:
-            grads = spa_backward(x, m, g)
+            grads = backward(x, m, g)
         assert tally == {}
         _assert_bitwise(grads, ref)
 
 
 def test_spa_forward_returns_a_read_only_map():
-    x, m, _ = _spa_case(ops.F64)
-    _, attn = spa_forward(x, m)
-    with pytest.raises(ValueError):
-        attn[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        attn *= 2
+    for make in (_spa_case, _cpa_case):
+        x, m, _ = make(ops.F64)
+        _, attn = _MECHANISMS[type(m)][0](x, m)
+        with pytest.raises(ValueError):
+            attn[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            attn *= 2
 
 
 def _edit(a, x, m, to=lambda v: v + 0.25):
@@ -262,33 +292,51 @@ def _as_f64(x, m, held):
                                              w.w_v.astype(ops.F64)), x.astype(ops.F64), m)
 
 
+def _new_proj(x, m):
+    """Other weights of m.proj's shape, or square ones where m has none."""
+    return init_projection(Rng(71), 4, None if m.proj is None else m.proj.reduced, x.dtype)
+
+
 # Each changes what the held forward read, or lets go of its map, before the backward.
-_MISSES = {
+_EDITS = {
     "x-in-place": lambda x, m, held: _edit(x, x, m),
     "x-zero-sign": lambda x, m, held: _edit(x, x, m, to=lambda v: -v),
     "w_q-in-place": lambda x, m, held: _edit(m.proj.w_q, x, m),
     "w_k-in-place": lambda x, m, held: _edit(m.proj.w_k, x, m),
     "w_v-in-place": lambda x, m, held: _edit(m.proj.w_v, x, m),
-    "lam-in-place": lambda x, m, held: _edit(m.lam, x, m),
-    "proj-reassigned": lambda x, m, held: _set(m, "proj", init_projection(Rng(71), 4, 3, x.dtype),
-                                               x, m),
-    "k_spec-reassigned": lambda x, m, held: _set(m, "k_spec", PyramidSpec((3, 4)), x, m),
-    "v_spec-reassigned": lambda x, m, held: _set(m, "v_spec", PyramidSpec((5,)), x, m),
+    "proj-reassigned": lambda x, m, held: _set(m, "proj", _new_proj(x, m), x, m),
     "x-other-dtype": _as_f64,
     "map-dropped": lambda x, m, held: held.clear() or (x, m),
     "map-made-writable": lambda x, m, held: _set(held[1].flags, "writeable", True, x, m),
+}
+_MISSES = {
+    **{name: (_spa_case, edit) for name, edit in _EDITS.items()},
+    "lam-in-place": (_spa_case, lambda x, m, held: _edit(m.lam, x, m)),
+    "k_spec-reassigned": (_spa_case,
+                          lambda x, m, held: _set(m, "k_spec", PyramidSpec((3, 4)), x, m)),
+    "v_spec-reassigned": (_spa_case,
+                          lambda x, m, held: _set(m, "v_spec", PyramidSpec((5,)), x, m)),
+    **{f"cpa-{name}": (_cpa_case, edit) for name, edit in _EDITS.items()},
+    "cpa-mu-in-place": (_cpa_case, lambda x, m, held: _edit(m.mu, x, m)),
+    "cpa-mode-reassigned": (_cpa_case,
+                            lambda x, m, held: _set(m, "mode", CpaMode.SQUARE, x, m)),
+    "cpa-proj-to-none": (_cpa_case, lambda x, m, held: _set(m, "proj", None, x, m)),
+    "cpa-proj-from-none": (partial(_cpa_case, proj=False),
+                           lambda x, m, held: _set(m, "proj", _new_proj(x, m), x, m)),
 }
 
 
 @pytest.mark.parametrize("case", list(_MISSES))
 def test_spa_backward_runs_the_forward_again_after_any_change(case):
-    x, m, g = _spa_case(ops.F32)
-    held = list(spa_forward(x, m))
-    x, m = _MISSES[case](x, m, held)
+    make, change = _MISSES[case]
+    x, m, g = make(ops.F32)
+    forward, backward, stages, stages_backward = _MECHANISMS[type(m)]
+    held = list(forward(x, m))
+    x, m = change(x, m, held)
     g = g.astype(x.dtype)
-    ref = spa_stages_backward(spa_stages(x, m)[2], g)
+    ref = stages_backward(stages(x, m)[2], g)
     with instrument.counting() as tally:
-        grads = spa_backward(x, m, g)
+        grads = backward(x, m, g)
     assert tally == _forward_tally(x, m)
     _assert_bitwise(grads, ref)
 
@@ -297,33 +345,35 @@ def test_spa_forward_backward_pairs_in_threads_match_serial_bit_for_bit():
     # One module, three inputs on three threads (more than the cores of a small host).
     # Every thread's forward runs before any backward, so at most one backward finds
     # its own forward kept; the others must see that it is not theirs.
-    _, m, _ = _spa_case(ops.F32)
-    inputs = [_spa_case(ops.F32, seed)[::2] for seed in (72, 73, 74)]
+    for make in (_spa_case, _cpa_case):
+        _, m, _ = make(ops.F32)
+        forward, backward = _MECHANISMS[type(m)][:2]
+        inputs = [make(ops.F32, seed)[::2] for seed in (72, 73, 74)]
 
-    def pair(x, g, between=lambda: None):
-        out, attn = spa_forward(x, m)
-        between()
-        return {"out": out, "attn": np.array(attn), **spa_backward(x, m, g)}
+        def pair(x, g, between=lambda: None):
+            out, attn = forward(x, m)
+            between()
+            return {"out": out, "attn": np.array(attn), **backward(x, m, g)}
 
-    serial = [pair(x, g) for x, g in inputs]
-    results = [[] for _ in inputs]
-    barrier = threading.Barrier(len(inputs), timeout=60)
+        serial = [pair(x, g) for x, g in inputs]
+        results = [[] for _ in inputs]
+        barrier = threading.Barrier(len(inputs), timeout=60)
 
-    def run(i):
-        for _ in range(20):
-            results[i].append(pair(*inputs[i], between=barrier.wait))
-            barrier.wait()
+        def run(i):
+            for _ in range(20):
+                results[i].append(pair(*inputs[i], between=barrier.wait))
+                barrier.wait()
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
-    assert not any(t.is_alive() for t in threads)
-    for ref, got in zip(serial, results):
-        assert len(got) == 20
-        for result in got:
-            _assert_bitwise(result, ref)
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        for ref, got in zip(serial, results):
+            assert len(got) == 20
+            for result in got:
+                _assert_bitwise(result, ref)
 
 
 # --- channel pool attention ----------------------------------------------------
@@ -683,15 +733,22 @@ def test_attention_maps_are_held_once(dtype):
     assert peak(lambda: nonlocal_forward(x, proj, 1.0)) < 1.1 * n_map
     assert peak(lambda: nonlocal_backward(x, proj, 1.0, g)) < 2.5 * n_map
     assert peak(lambda: spa_forward(x, spa)) < 2.0 * t_map
-    # Projected CPA holds no C x N q, k or v: its backward peaks at about 4.1 C x N
-    # arrays (the aggregation, its gradient and the input-gradient sum), 11.1 while
-    # it projected every position and 5.1 while it summed the input gradient into new
-    # arrays. Its forward holds the aggregation and the output, about 2.2-2.3; 3.0
-    # while the gate made `gate * agg` apart from the output.
+    # Projected CPA holds no C x N q, k or v. Its forward holds the aggregation, whose
+    # buffer the gated output takes, and the kept copy of x: about 2.05-2.1 C x N
+    # arrays; 2.2-2.3 while the output was an array apart from the aggregation, 3.0
+    # while the gate made `gate * agg` apart from the output. Its backward forms the
+    # aggregation again for the gate gradient and frees it, then holds the
+    # aggregation's gradient and the input-gradient sum: about 3.05-3.1 whether or
+    # not it reruns the forward; 4.1 while the cache held the aggregation, 11.1 while
+    # it projected every position and 5.1 while it summed the input gradient into
+    # new arrays.
     cpa = CpaModule(proj, CpaMode.SUBTRACT, 1.0)
     c_n = c * n * dtype.itemsize
     assert peak(lambda: cpa_forward(x, cpa)) < 2.5 * c_n
-    assert peak(lambda: cpa_backward(x, cpa, g)) < 5 * c_n
+    assert peak(lambda: cpa_backward(x, cpa, g)) < 3.5 * c_n
+    held = cpa_forward(x, cpa)
+    assert peak(lambda: cpa_backward(x, cpa, g)) < 3.5 * c_n
+    del held
     assert peak(lambda: spa_backward(x, spa, g)) < 2.5 * t_map
     # With its map held, spa_backward reuses the forward: the map's gradient and the
     # blocks of products, about 1.15 T x N maps; 2.2 while it ran the forward again.
@@ -700,12 +757,14 @@ def test_attention_maps_are_held_once(dtype):
     del held
     # Dropping the map drops the kept forward: the traced memory comes back to its
     # level before the forward, within one x-sized array.
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out, attn = spa_forward(x, spa)
-        spa_backward(x, spa, g)
-        del out, attn
-        assert tracemalloc.get_traced_memory()[0] - before < x.nbytes
-    finally:
-        tracemalloc.stop()
+    for forward, backward, m in ((spa_forward, spa_backward, spa),
+                                 (cpa_forward, cpa_backward, cpa)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, attn = forward(x, m)
+            backward(x, m, g)
+            del out, attn
+            assert tracemalloc.get_traced_memory()[0] - before < x.nbytes
+        finally:
+            tracemalloc.stop()

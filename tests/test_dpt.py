@@ -1,4 +1,5 @@
 import json
+import re
 import pathlib
 
 import numpy as np
@@ -69,11 +70,18 @@ def test_bad_version(tmp_path):
         read_dpt(path)
 
 
-def test_rejects_unsupported_rank_and_dtype():
+def test_rejects_unsupported_rank_and_dtype(tmp_path):
     with pytest.raises(DptFormatError):
         write_dpt("/tmp/never-written.dpt", np.ones((2, 2, 2, 2, 2)))
     with pytest.raises(DptFormatError):
         write_dpt("/tmp/never-written.dpt", np.ones(3, dtype=np.int32))
+    # The JSON form holds to the same ranks as DPT files and `ops`.
+    path = tmp_path / "t.json"
+    for shape, data in (([], [3]), ([1, 1, 1, 1, 2], [1, 2])):
+        path.write_text(json.dumps({"shape": shape, "data": data}))
+        message = f"{path}: rank {len(shape)} outside 1..4"
+        with pytest.raises(DptFormatError, match=re.escape(message)):
+            read_tensor(path)
 
 
 def test_json_tensor_form(tmp_path):
