@@ -18,10 +18,12 @@
   forward makes two C x N-wide products and a backward five, one of them the
   forward's `agg` again.
 
-Every mechanism has one shape. Its `params` are a dict of its live arrays
-(`w_q`, `w_k`, `w_v` where it has projections, and the gate `lam` or `mu`
-as a 0-d float64 array), so a write into `params[k]` in place changes the
-next forward. `*_stages(x, ...)` returns `(out, attn, cache)`, and
+Every mechanism has one shape. `SpaModule` and `CpaModule` are frozen: their
+projections, pyramids and mode are fixed and checked at construction, and another
+configuration is a new module, `dataclasses.replace(m, ...)`. Their `params` are a
+dict of their live arrays (`w_q`, `w_k`, `w_v` where there are projections, and the
+gate `lam` or `mu` as a 0-d float64 array), so a write into `params[k]` in place
+changes the next forward. `*_stages(x, ...)` returns `(out, attn, cache)`, and
 `*_stages_backward(cache, grad_out)` returns gradients keyed like `params`
 plus `x`, computed from the cached forward values. `*_forward` and
 `*_backward` are the one-call forms. A `grad_out` whose shape is not the
@@ -32,16 +34,15 @@ reach `ops.matmul` as views, which BLAS reads in place, not as copies.
 `spa_forward` and `cpa_forward` return their map as a read-only view and keep
 their forward while the caller holds that map; one slot holds the last SPA or
 CPA forward. `spa_backward(x, m, g)` and `cpa_backward(x, m, g)` reuse it when
-`x` and `m` are the same objects and neither has changed since (every input
-value and parameter is compared with a copy, and the module's other fields are
-the same objects), so a forward followed by its backward runs the forward's
-products and softmax once; otherwise they run the forward again. The forward is
-deterministic, so both give the same bits. Dropping the map drops the kept
-forward. CPA's cache holds no C x N array of its own: its forward forms the gated
-output in the aggregation's buffer and its backward forms the aggregation again,
-the same product of the same operands, so with the kept copy of `x` the forward
-holds two C x N arrays. Non-local's one-call backward reruns its forward; it serves
-gradient checks at small shapes.
+`x` and `m` are the forward's own objects and `x` and every parameter still have the
+bits of copies taken at the forward (the module's other fields cannot change), so a
+forward followed by its backward runs the forward's products and softmax once;
+otherwise they run the forward again. The forward is deterministic, so both give
+the same bits. Dropping the map drops the kept forward. CPA's cache holds no C x N
+array of its own: its forward forms the gated output in the aggregation's buffer and
+its backward forms the aggregation again, the same product of the same operands, so
+with the kept copy of `x` the forward holds two C x N arrays. Non-local's one-call
+backward reruns its forward; it serves gradient checks at small shapes.
 
 Each stage function runs inside one `np.errstate` and checks each stage output
 once (`proj`, `pool`, `map` through the softmax's input check, `agg`, the gated
@@ -125,9 +126,9 @@ class CpaMode(_Mode):
     SQUARE = "square"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpaModule:
-    """Spatial pool attention configuration; `lam` is the gate, starting at 0."""
+    """Spatial pool attention: fixed configuration and `lam`, the gate, starting at 0."""
 
     proj: ProjectionWeights
     mode: SpaMode
@@ -141,7 +142,8 @@ class SpaModule:
                 f"key/value pyramids must agree on anchor count: "
                 f"{self.k_spec.sizes} gives {anchor_count(self.k_spec)}, "
                 f"{self.v_spec.sizes} gives {anchor_count(self.v_spec)}")
-        self.lam = np.array(self.lam, dtype=np.float64)
+        object.__setattr__(self, "mode", SpaMode(self.mode))
+        object.__setattr__(self, "lam", np.array(self.lam, dtype=np.float64))
 
     @property
     def params(self) -> dict[str, np.ndarray]:
@@ -151,6 +153,7 @@ class SpaModule:
 def spa_module(proj: ProjectionWeights, mode: SpaMode, odd_spec: PyramidSpec | None = None,
                even_spec: PyramidSpec | None = None, lam: float = 0.0) -> SpaModule:
     """Assemble an SpaModule: mixed mode pools keys on the even pyramid, values on the odd."""
+    mode = SpaMode(mode)
     if mode is SpaMode.ONLY_ODD:
         if odd_spec is None:
             raise ConfigurationError("only-odd mode needs an odd pyramid spec")
@@ -164,9 +167,10 @@ def spa_module(proj: ProjectionWeights, mode: SpaMode, odd_spec: PyramidSpec | N
     return SpaModule(proj, mode, even_spec, odd_spec, lam)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CpaModule:
-    """Channel pool attention configuration; proj=None is the projection-free variant."""
+    """Channel pool attention: fixed configuration and `mu`, the gate, starting at 0;
+    proj=None is the projection-free variant."""
 
     proj: ProjectionWeights | None
     mode: CpaMode
@@ -177,7 +181,8 @@ class CpaModule:
             raise ConfigurationError(
                 f"channel attention needs square projections (affinity is CxC), "
                 f"got {self.proj.reduced}x{self.proj.channels}")
-        self.mu = np.array(self.mu, dtype=np.float64)
+        object.__setattr__(self, "mode", CpaMode(self.mode))
+        object.__setattr__(self, "mu", np.array(self.mu, dtype=np.float64))
 
     @property
     def params(self) -> dict[str, np.ndarray]:
@@ -334,12 +339,6 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
             and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}")))
 
 
-def _config(m: SpaModule | CpaModule) -> tuple:
-    """The module's fields a forward reads besides its params, compared by identity:
-    `==` on ProjectionWeights compares arrays."""
-    return (m.proj, m.k_spec, m.v_spec) if isinstance(m, SpaModule) else (m.proj, m.mode)
-
-
 @dataclass(frozen=True)
 class _KeptForward:
     """The last spa_forward or cpa_forward: its cache, the objects it read and copies
@@ -348,21 +347,18 @@ class _KeptForward:
     map_ref: weakref.ref                 # the read-only map handed to the caller
     x: np.ndarray
     m: SpaModule | CpaModule
-    x_copy: np.ndarray
-    params: dict[str, np.ndarray]
-    config: tuple
+    values: dict[str, np.ndarray]        # copies of `{"x": x, **m.params}` at the forward
     cache: tuple
 
     def serves(self, x: np.ndarray, m: SpaModule | CpaModule) -> bool:
         """Whether the map is still held, still read-only, and `x` and `m` are the
-        forward's own objects with the values and fields it read."""
+        forward's own objects with the values it read. The module's fields are fixed,
+        so its values are the only part of it that can have changed."""
         attn = self.map_ref()
-        params = m.params
         return (attn is not None and not attn.flags.writeable and x is self.x
-                and m is self.m and _same_bits(x, self.x_copy)
-                and all(a is b for a, b in zip(_config(m), self.config))
-                and params.keys() == self.params.keys()
-                and all(_same_bits(np.asarray(v), self.params[k]) for k, v in params.items()))
+                and m is self.m
+                and all(_same_bits(v, self.values[k])
+                        for k, v in {"x": x, **m.params}.items()))
 
 
 _kept: _KeptForward | None = None        # replaced whole, so a thread reads one forward
@@ -384,8 +380,8 @@ def _keep(x: np.ndarray, m: SpaModule | CpaModule, attn: np.ndarray, cache: tupl
     global _kept
     view = attn.view()
     view.flags.writeable = False
-    _kept = _KeptForward(weakref.ref(view, _forget), x, m, x.copy(),
-                         {k: np.array(v) for k, v in m.params.items()}, _config(m), cache)
+    _kept = _KeptForward(weakref.ref(view, _forget), x, m,
+                         {k: v.copy() for k, v in {"x": x, **m.params}.items()}, cache)
     return view
 
 
@@ -399,8 +395,8 @@ def spa_forward(x: np.ndarray, m: SpaModule) -> tuple[np.ndarray, np.ndarray]:
     """Pyramid-anchored attention; returns the output and the T x N anchor map.
 
     The map is a read-only view. While the caller holds it, this forward is kept
-    for `spa_backward` with the same `x` and `m` (see the module docstring); the
-    kept copies are `x` and the parameters.
+    for `spa_backward` with the same `x` and `m` (see the module docstring), with
+    copies of the values of `x` and of `m.params`.
     """
     out, attn, cache = spa_stages(x, m)
     return out, _keep(x, m, attn, cache)
@@ -474,8 +470,8 @@ def cpa_forward(x: np.ndarray, m: CpaModule) -> tuple[np.ndarray, np.ndarray]:
     the C x C map.
 
     The map is a read-only view. While the caller holds it, this forward is kept
-    for `cpa_backward` with the same `x` and `m` (see the module docstring); the
-    kept copies are `x` and the parameters.
+    for `cpa_backward` with the same `x` and `m` (see the module docstring), with
+    copies of the values of `x` and of `m.params`.
     """
     out, attn, cache = cpa_stages(x, m)
     return out, _keep(x, m, attn, cache)

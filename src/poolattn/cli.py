@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--specs", required=True,
                    help="comma list of presets and/or size lists, "
                         "e.g. paper-even,paper-odd or 1,3,5")
-    p.add_argument("--hw", type=int, required=True, help="spatial extent")
+    p.add_argument("--hw", type=_positive, required=True, help="spatial extent")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("attn", help="run one module on a DPT/JSON tensor file")

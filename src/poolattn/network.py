@@ -26,9 +26,10 @@ from .rng import Rng
 STEM_KERNEL = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class DpaNetMini:
-    """Stem -> parallel SPA/CPA -> channel concat -> 1x1 fuse."""
+    """Stem -> parallel SPA/CPA -> channel concat -> 1x1 fuse; training edits `params`
+    in place."""
 
     stem_w1: np.ndarray      # C x 3 x k x k
     stem_w2: np.ndarray      # C x C x k x k
@@ -188,7 +189,7 @@ def poly_lr(lr_initial: float, iteration: int, total: int, power: float = 0.9) -
     return lr_initial * (1.0 - iteration / total) ** power
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedReport:
     final_loss: float
     pixel_accuracy: float

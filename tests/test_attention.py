@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import tracemalloc
 from functools import partial
@@ -280,16 +281,22 @@ def _edit(a, x, m, to=lambda v: v + 0.25):
     return x, m
 
 
-def _set(obj, name, value, x, m):
-    setattr(obj, name, value)
-    return x, m
+def _replace(x, m, **fields):
+    """x and a new module: m with other fields, built and checked as any module."""
+    return x, dataclasses.replace(m, **fields)
 
 
 def _as_f64(x, m, held):
     """x and m's weights recast to float64: equal values, the other dtype."""
     w = m.proj
-    return _set(m, "proj", ProjectionWeights(w.w_q.astype(ops.F64), w.w_k.astype(ops.F64),
-                                             w.w_v.astype(ops.F64)), x.astype(ops.F64), m)
+    return _replace(x.astype(ops.F64), m, proj=ProjectionWeights(
+        w.w_q.astype(ops.F64), w.w_k.astype(ops.F64), w.w_v.astype(ops.F64)))
+
+
+def _writable(x, m, held):
+    """The held map made writable again, so a caller could have written into it."""
+    held[1].flags.writeable = True
+    return x, m
 
 
 def _new_proj(x, m):
@@ -304,25 +311,25 @@ _EDITS = {
     "w_q-in-place": lambda x, m, held: _edit(m.proj.w_q, x, m),
     "w_k-in-place": lambda x, m, held: _edit(m.proj.w_k, x, m),
     "w_v-in-place": lambda x, m, held: _edit(m.proj.w_v, x, m),
-    "proj-reassigned": lambda x, m, held: _set(m, "proj", _new_proj(x, m), x, m),
+    "proj-reassigned": lambda x, m, held: _replace(x, m, proj=_new_proj(x, m)),
     "x-other-dtype": _as_f64,
     "map-dropped": lambda x, m, held: held.clear() or (x, m),
-    "map-made-writable": lambda x, m, held: _set(held[1].flags, "writeable", True, x, m),
+    "map-made-writable": _writable,
 }
 _MISSES = {
     **{name: (_spa_case, edit) for name, edit in _EDITS.items()},
     "lam-in-place": (_spa_case, lambda x, m, held: _edit(m.lam, x, m)),
     "k_spec-reassigned": (_spa_case,
-                          lambda x, m, held: _set(m, "k_spec", PyramidSpec((3, 4)), x, m)),
+                          lambda x, m, held: _replace(x, m, k_spec=PyramidSpec((3, 4)))),
     "v_spec-reassigned": (_spa_case,
-                          lambda x, m, held: _set(m, "v_spec", PyramidSpec((5,)), x, m)),
+                          lambda x, m, held: _replace(x, m, v_spec=PyramidSpec((5,)))),
     **{f"cpa-{name}": (_cpa_case, edit) for name, edit in _EDITS.items()},
     "cpa-mu-in-place": (_cpa_case, lambda x, m, held: _edit(m.mu, x, m)),
     "cpa-mode-reassigned": (_cpa_case,
-                            lambda x, m, held: _set(m, "mode", CpaMode.SQUARE, x, m)),
-    "cpa-proj-to-none": (_cpa_case, lambda x, m, held: _set(m, "proj", None, x, m)),
+                            lambda x, m, held: _replace(x, m, mode=CpaMode.SQUARE)),
+    "cpa-proj-to-none": (_cpa_case, lambda x, m, held: _replace(x, m, proj=None)),
     "cpa-proj-from-none": (partial(_cpa_case, proj=False),
-                           lambda x, m, held: _set(m, "proj", _new_proj(x, m), x, m)),
+                           lambda x, m, held: _replace(x, m, proj=_new_proj(x, m))),
 }
 
 
@@ -607,6 +614,24 @@ def test_cpa_projection_must_preserve_channels():
     rng = Rng(34)
     with pytest.raises(ConfigurationError):
         CpaModule(init_projection(rng, 4, 2), CpaMode.SUBTRACT, 0.0)
+
+
+def test_module_mode_given_as_text_is_its_enum():
+    x, m, _ = _cpa_case(ops.F64, proj=False)
+    square = CpaModule(None, "square", 0.7)
+    assert square.mode is CpaMode.SQUARE
+    assert (cpa_forward(x, square)[0].tobytes()
+            == cpa_forward(x, dataclasses.replace(m, mode=CpaMode.SQUARE))[0].tobytes()
+            != cpa_forward(x, m)[0].tobytes())
+    _, spa, _ = _spa_case(ops.F64)
+    assert dataclasses.replace(spa, mode="only-odd").mode is SpaMode.ONLY_ODD
+    only_odd = spa_module(spa.proj, "only-odd", spa.v_spec, spa.k_spec)
+    assert only_odd.mode is SpaMode.ONLY_ODD and only_odd.k_spec is spa.v_spec
+    with pytest.raises(ConfigurationError,
+                       match="CpaMode must be one of subtract, square, got 'bogus'"):
+        CpaModule(None, "bogus")
+    with pytest.raises(ConfigurationError, match="SpaMode must be one of .*, got 'bogus'"):
+        dataclasses.replace(spa, mode="bogus")
 
 
 # --- parameter counting ----------------------------------------------------------

@@ -442,6 +442,8 @@ def test_thread_cap_is_applied_and_reported_or_rejected(raw):
     ("--count", ["train-demo", "--count", "0"]),
     ("--batch", ["train-demo", "--batch", "-1"]),
     ("--size", ["gradcheck", "--kind", "network", "--size", "0"]),
+    ("--hw", ["coverage", "--specs", "1,2", "--hw", "0"]),
+    ("--hw", ["coverage", "--specs", "1,2", "--hw", "-4"]),
 ])
 def test_bad_integer_flag_exits_2(flag, args, capsys):
     with pytest.raises(SystemExit) as exc:

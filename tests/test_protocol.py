@@ -1,11 +1,15 @@
 """The module protocol: live `params`, gradients keyed like them, one forward per sample."""
 
+import dataclasses
+import importlib
+import pkgutil
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import poolattn
 from poolattn import attention, gradcheck, network, ops, pooling
 from poolattn.attention import (CpaMode, CpaModule, SpaMode, cpa_backward, cpa_forward,
                                 init_projection, nonlocal_backward, nonlocal_forward,
@@ -91,6 +95,42 @@ def test_in_place_param_write_changes_next_forward():
         before = network.forward(model, image)
         model.params[key][...] += 0.25
         assert not np.array_equal(network.forward(model, image), before), key
+
+
+def test_fields_are_fixed_and_params_stay_live():
+    rng = Rng(5)
+    x = rng.fill_uniform((3, 5, 4), 1.0)
+    spec = PyramidSpec((1, 2))
+    spa = spa_module(init_projection(rng, 3, 2), SpaMode.ONLY_ODD, odd_spec=spec, lam=0.7)
+    cpa = CpaModule(init_projection(rng, 3), CpaMode.SQUARE, 0.7)
+    model = build_model(5, channels=3, odd_spec=spec)
+    report = network.TrainedReport(1.0, 0.5, 0.0, 0.0, [1.0], [0.0], [0.0])
+    for obj in (spa, cpa, model, report):
+        for field in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, getattr(obj, field.name))
+    image = synth_dataset(5, 1, 8)[0].image
+    for forward, gate in ((lambda: spa_forward(x, spa)[0], spa.params["lam"]),
+                          (lambda: cpa_forward(x, cpa)[0], cpa.params["mu"]),
+                          (lambda: network.forward(model, image), model.params["lam"])):
+        before = forward()
+        gate[...] += 0.25
+        assert not np.array_equal(forward(), before)
+
+
+def test_every_dataclass_in_the_package_is_frozen():
+    classes = {}
+    for info in pkgutil.iter_modules(poolattn.__path__):
+        if info.name == "__main__":                     # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"poolattn.{info.name}")
+        classes.update((f"{module.__name__}.{name}", obj) for name, obj in vars(module).items()
+                       if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                       and obj.__module__ == module.__name__)
+    assert {"poolattn.attention.SpaModule", "poolattn.attention.CpaModule",
+            "poolattn.network.DpaNetMini", "poolattn.network.TrainedReport"} <= set(classes)
+    assert [name for name, cls in classes.items()
+            if not cls.__dataclass_params__.frozen] == []
 
 
 def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
