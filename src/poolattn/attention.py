@@ -18,31 +18,30 @@
   forward makes two C x N-wide products and a backward five, one of them the
   forward's `agg` again.
 
-Every mechanism has one shape. `SpaModule` and `CpaModule` are frozen: their
-projections, pyramids and mode are fixed and checked at construction, and another
-configuration is a new module, `dataclasses.replace(m, ...)`. Their `params` are a
-dict of their live arrays (`w_q`, `w_k`, `w_v` where there are projections, and the
-gate `lam` or `mu` as a 0-d float64 array), so a write into `params[k]` in place
-changes the next forward. `*_stages(x, ...)` returns `(out, attn, cache)`, and
-`*_stages_backward(cache, grad_out)` returns gradients keyed like `params`
-plus `x`, computed from the cached forward values. `*_forward` and
-`*_backward` are the one-call forms. A `grad_out` whose shape is not the
-output's raises DimensionError. The analytic reverse-mode derivations are
-validated against finite differences (see gradcheck). Transposed operands
-reach `ops.matmul` as views, which BLAS reads in place, not as copies.
+Every mechanism has one shape, and a module is its object. `SpaModule` and `CpaModule`
+are frozen: their projections, pyramids and mode are fixed and checked at construction,
+and another configuration is a new module, `dataclasses.replace(m, ...)`. Records that
+hold arrays compare and hash by identity (`eq=False`). `params` is a dict of a module's
+live arrays (`w_q`, `w_k`, `w_v` where there are projections, and the gate `lam` or `mu`
+as a 0-d float64 array), so a write into `params[k]` in place changes the next forward.
+`*_stages(x, ...)` returns `(out, attn, cache)`, and `*_stages_backward(cache, grad_out)`
+returns gradients keyed like `params` plus `x`, computed from the cached forward values.
+`*_forward` and `*_backward` are the one-call forms. A `grad_out` whose shape or dtype
+is not the output's raises DimensionError. The analytic reverse-mode derivations are
+validated against finite differences (see gradcheck). Transposed operands reach
+`ops.matmul` as views, which BLAS reads in place, not as copies.
 
-`spa_forward` and `cpa_forward` return their map as a read-only view and keep
-their forward while the caller holds that map; one slot holds the last SPA or
-CPA forward. `spa_backward(x, m, g)` and `cpa_backward(x, m, g)` reuse it when
-`x` and `m` are the forward's own objects and `x` and every parameter still have the
-bits of copies taken at the forward (the module's other fields cannot change), so a
-forward followed by its backward runs the forward's products and softmax once;
-otherwise they run the forward again. The forward is deterministic, so both give
-the same bits. Dropping the map drops the kept forward. CPA's cache holds no C x N
-array of its own: its forward forms the gated output in the aggregation's buffer and
-its backward forms the aggregation again, the same product of the same operands, so
-with the kept copy of `x` the forward holds two C x N arrays. Non-local's one-call
-backward reruns its forward; it serves gradient checks at small shapes.
+`spa_forward` and `cpa_forward` return their map as a read-only view and keep their
+forward while the caller holds that map; one slot holds the last SPA or CPA forward.
+`spa_backward(x, m, g)` and `cpa_backward(x, m, g)` reuse it when `x` and `m` are the
+forward's own objects and `x` and every parameter still hold the bits copied at the
+forward (a module's other fields are fixed), so a forward and its backward run the
+forward's products and softmax once; otherwise they run the forward again. The forward
+is deterministic, so both give the same bits. Dropping the map drops the kept forward.
+CPA's cache holds no C x N array of its own: its forward forms the gated output in the
+aggregation's buffer and its backward forms the aggregation again, the same product of
+the same operands, so with the kept copy of `x` the forward holds two C x N arrays.
+Non-local's one-call backward, for gradient checks at small shapes, reruns its forward.
 
 Each stage function runs inside one `np.errstate` and checks each stage output
 once (`proj`, `pool`, `map` through the softmax's input check, `agg`, the gated
@@ -64,7 +63,7 @@ from .pooling import PyramidSpec, anchor_count, pyramid_pool, pyramid_pool_backw
 from .rng import Rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionWeights:
     """Bias-free 1x1 projections: queries/keys to chat channels, values back to C."""
 
@@ -126,7 +125,7 @@ class CpaMode(_Mode):
     SQUARE = "square"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaModule:
     """Spatial pool attention: fixed configuration and `lam`, the gate, starting at 0."""
 
@@ -167,7 +166,7 @@ def spa_module(proj: ProjectionWeights, mode: SpaMode, odd_spec: PyramidSpec | N
     return SpaModule(proj, mode, even_spec, odd_spec, lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpaModule:
     """Channel pool attention: fixed configuration and `mu`, the gate, starting at 0;
     proj=None is the projection-free variant."""
@@ -217,11 +216,12 @@ def _gate_forward(agg: np.ndarray, gate: np.ndarray | float, xf: np.ndarray, nam
     return _finite(out, f"{name} out")
 
 
-def _upstream(grad_out: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """grad_out as a channels x positions matrix, once its shape is the output's."""
-    if grad_out.shape != shape:
-        raise DimensionError(f"{name} backward: grad_out has shape {grad_out.shape}, "
-                             f"the output {shape}")
+def _upstream(grad_out: np.ndarray, shape: tuple[int, ...], dtype: np.dtype,
+              name: str) -> np.ndarray:
+    """grad_out as a channels x positions matrix, once its shape and dtype are the output's."""
+    if grad_out.shape != shape or grad_out.dtype != dtype:
+        raise DimensionError(f"{name} backward: grad_out is {grad_out.dtype} {grad_out.shape}, "
+                             f"the output {dtype} {shape}")
     return grad_out.reshape(shape[0], -1)
 
 
@@ -260,7 +260,7 @@ def nonlocal_stages(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | fl
 @_quiet
 def nonlocal_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     shape, xf, proj, lam, alpha, beta, gamma, attn, agg = cache
-    g = _upstream(grad_out, shape, "nonlocal")
+    g = _upstream(grad_out, shape, xf.dtype, "nonlocal")
     d_lam, d_agg = _gate_backward(g, agg, lam)
     d_attn = ops.matmul(d_agg.T, gamma)                  # N x N
     d_gamma = ops.matmul(d_agg, attn)                    # C x N
@@ -313,7 +313,7 @@ def spa_stages(x: np.ndarray, m: SpaModule):
 def spa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     shape, xf, m, x_k, x_v, q, k_pool, v_pool, attn, agg = cache
     c, h, w = shape
-    g = _upstream(grad_out, shape, "spa")
+    g = _upstream(grad_out, shape, xf.dtype, "spa")
     d_lam, d_agg = _gate_backward(g, agg, m.lam)
     d_vpool = ops.matmul(d_agg, attn.T)                  # C x T
     d_attn = ops.matmul(v_pool.T, d_agg)                 # T x N
@@ -339,7 +339,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
             and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _KeptForward:
     """The last spa_forward or cpa_forward: its cache, the objects it read and copies
     of their values."""
@@ -415,7 +415,9 @@ def spa_backward(x: np.ndarray, m: SpaModule, grad_out: np.ndarray) -> dict[str,
 def cpa_stages(x: np.ndarray, m: CpaModule):
     """Channel reweighting through the max-difference affinity: (output, C x C map, cache).
 
-    The projections act on the C x C Gram matrix and map, not on the input.
+    The projections act on the C x C Gram matrix and map, not on the input. `diff` is
+    each column's maximum minus `d`, softmaxed along rows, which keeps the maximum; DANet
+    uses each row's maximum, which the row softmax cancels: its map is softmax_rows(-d).
     """
     xf, c, h, w = _flatten(x, m.proj)
     gram = _finite(ops.matmul(xf, xf.T), "cpa map")     # C x C channel similarity
@@ -438,7 +440,7 @@ def cpa_stages(x: np.ndarray, m: CpaModule):
 @_quiet
 def cpa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     shape, xf, m, gram, d, diff, attn, mix = cache
-    g = _upstream(grad_out, shape, "cpa")
+    g = _upstream(grad_out, shape, xf.dtype, "cpa")
     # The forward's aggregation again, the same product of the same operands: the
     # forward formed its output in that buffer. Only d_mu reads it.
     d_mu, d_agg = _gate_backward(g, ops.matmul(mix, xf), m.mu)

@@ -26,7 +26,7 @@ from .rng import Rng
 STEM_KERNEL = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DpaNetMini:
     """Stem -> parallel SPA/CPA -> channel concat -> 1x1 fuse; training edits `params`
     in place."""
@@ -100,7 +100,7 @@ def stages_backward(cache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a logits-contracted loss, keyed like `model.params` plus `image`."""
     model, image, pre1, f1, pre2, cat, spa_cache, cpa_cache = cache
     c, h, w = cat.shape
-    g_flat = _upstream(grad_logits, (model.classes, h, w), "network")
+    g_flat = _upstream(grad_logits, (model.classes, h, w), cat.dtype, "network")
     d_fuse = ops.matmul(g_flat, cat.reshape(c, h * w).T)
     d_cat = ops.matmul(model.fuse_w.T, g_flat).reshape(c, h, w)
     half = model.channels
@@ -125,7 +125,7 @@ def backward(model: DpaNetMini, image: np.ndarray,
 
 # --- synthetic data -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthSample:
     image: np.ndarray        # 3 x S x S
     labels: np.ndarray       # S x S int class ids {0 background, 1 object}

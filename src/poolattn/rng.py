@@ -31,10 +31,7 @@ class Rng:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        return int(_mix_array(np.array([self._state], dtype=np.uint64))[0])
 
     def next_unit(self) -> float:
         """Uniform draw in [0, 1) with 53 bits of mantissa."""

@@ -563,6 +563,21 @@ def test_cpa_most_similar_channel_gets_least_weight():
             assert np.argmin(attn[row]) == col
 
 
+def test_cpa_subtracts_from_the_column_max_not_the_row_max():
+    # DANet subtracts each row's max, which the row softmax cancels (its map is
+    # softmax_rows(-G)); CPA's column max does not cancel, so the two maps differ.
+    def softmax_rows(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    x = Rng(3).fill_uniform((4, 5, 5), 1.0)
+    xf = x.reshape(4, -1)
+    gram = xf @ xf.T
+    _, attn = cpa_forward(x, CpaModule(None, CpaMode.SUBTRACT, 0.5))
+    assert np.max(np.abs(attn - softmax_rows(gram.max(axis=0, keepdims=True) - gram))) < 1e-12
+    assert np.max(np.abs(attn - softmax_rows(gram.max(axis=1, keepdims=True) - gram))) > 0.1
+
+
 def _cpa_loss_with_max_rows(x, rows, mode, mu, g):
     """Projection-free CPA loss <g, out> with each column's max read from a fixed row."""
     c = x.shape[0]

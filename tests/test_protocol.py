@@ -118,7 +118,7 @@ def test_fields_are_fixed_and_params_stay_live():
         assert not np.array_equal(forward(), before)
 
 
-def test_every_dataclass_in_the_package_is_frozen():
+def _package_dataclasses() -> dict[str, type]:
     classes = {}
     for info in pkgutil.iter_modules(poolattn.__path__):
         if info.name == "__main__":                     # importing it runs the CLI
@@ -127,10 +127,49 @@ def test_every_dataclass_in_the_package_is_frozen():
         classes.update((f"{module.__name__}.{name}", obj) for name, obj in vars(module).items()
                        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
                        and obj.__module__ == module.__name__)
+    return classes
+
+
+def test_every_dataclass_in_the_package_is_frozen():
+    classes = _package_dataclasses()
     assert {"poolattn.attention.SpaModule", "poolattn.attention.CpaModule",
             "poolattn.network.DpaNetMini", "poolattn.network.TrainedReport"} <= set(classes)
     assert [name for name, cls in classes.items()
             if not cls.__dataclass_params__.frozen] == []
+
+
+def test_every_dataclass_that_holds_arrays_compares_by_identity():
+    # The generated value == and hash cannot compare array fields: a record that holds
+    # an array is its object.
+    holding = {name: cls for name, cls in _package_dataclasses().items()
+               if any("ndarray" in str(f.type) for f in dataclasses.fields(cls))}
+    assert {"poolattn.attention.ProjectionWeights", "poolattn.attention.SpaModule",
+            "poolattn.attention.CpaModule", "poolattn.attention._KeptForward",
+            "poolattn.network.DpaNetMini", "poolattn.network.SynthSample"} == set(holding)
+    assert [name for name, cls in holding.items() if cls.__dataclass_params__.eq] == []
+
+
+def _record(name):
+    """A newly built public record that holds arrays; each call gives the same values."""
+    rng = Rng(6)
+    spec = PyramidSpec((1, 2))
+    return {
+        "ProjectionWeights": lambda: init_projection(rng, 3),
+        "SpaModule": lambda: spa_module(init_projection(rng, 3, 2), SpaMode.ONLY_ODD,
+                                        odd_spec=spec, lam=0.7),
+        "CpaModule": lambda: CpaModule(None, CpaMode.SUBTRACT, 0.5),
+        "DpaNetMini": lambda: build_model(6, channels=3, odd_spec=spec),
+        "SynthSample": lambda: synth_dataset(6, 1, 8)[0],
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["ProjectionWeights", "SpaModule", "CpaModule",
+                                  "DpaNetMini", "SynthSample"])
+def test_a_record_that_holds_arrays_is_its_object(name):
+    a, twin = _record(name), _record(name)
+    assert a == a and a != twin
+    assert hash(a) == object.__hash__(a)
+    assert a in {a} and twin not in {a}
 
 
 def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
@@ -200,21 +239,36 @@ def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, c
     assert (seen["errstate"], seen["_check_dims"], seen["_finite"]) == counts, label
 
 
+def _backward(name, rng, x, g, g_net, proj):
+    """One mechanism's one-call backward of the 2x4x6 input x given g; the float64
+    network's, of a 3x4x6 image (2x4x6 logits), given g_net."""
+    spec = PyramidSpec((1, 3))
+    return {
+        "nonlocal": lambda: nonlocal_backward(x, proj, 0.5, g),
+        "spa": lambda: spa_backward(x, spa_module(proj, SpaMode.ONLY_ODD, odd_spec=spec,
+                                                  lam=0.5), g),
+        "cpa": lambda: cpa_backward(x, CpaModule(None, CpaMode.SUBTRACT, 0.5), g),
+        "network": lambda: network.backward(build_model(8, channels=2, odd_spec=spec),
+                                            rng.fill_uniform((3, 4, 6), 1.0), g_net),
+    }[name]()
+
+
 @pytest.mark.parametrize("name", ["nonlocal", "spa", "cpa", "network"])
 def test_backward_rejects_a_gradient_of_the_wrong_shape(name):
     # A 2x6x4 gradient has the size of a 2x4x6 output but not its shape.
     rng = Rng(8)
     x = rng.fill_uniform((2, 4, 6), 1.0)
     g = rng.fill_uniform((2, 6, 4), 1.0)
-    spec = PyramidSpec((1, 3))
-    proj = init_projection(rng, 2)
-    calls = {
-        "nonlocal": lambda: nonlocal_backward(x, proj, 0.5, g),
-        "spa": lambda: spa_backward(x, spa_module(proj, SpaMode.ONLY_ODD, odd_spec=spec,
-                                                  lam=0.5), g),
-        "cpa": lambda: cpa_backward(x, CpaModule(None, CpaMode.SUBTRACT, 0.5), g),
-        "network": lambda: network.backward(build_model(8, channels=2, odd_spec=spec),
-                                            rng.fill_uniform((3, 4, 6), 1.0), g),
-    }
     with pytest.raises(DimensionError, match="grad"):
-        calls[name]()
+        _backward(name, rng, x, g, g, init_projection(rng, 2))
+
+
+@pytest.mark.parametrize("name", ["nonlocal", "spa", "cpa", "network"])
+def test_backward_rejects_a_gradient_of_the_wrong_dtype(name):
+    # A float64 gradient for a float32 input (a float32 one for the float64 network)
+    # has the output's shape but not its dtype.
+    rng = Rng(8)
+    x = rng.fill_uniform((2, 4, 6), 1.0, ops.F32)
+    g = rng.fill_uniform((2, 4, 6), 1.0)
+    with pytest.raises(DimensionError, match="grad_out is float"):
+        _backward(name, rng, x, g, g.astype(ops.F32), init_projection(rng, 2, dtype=ops.F32))
