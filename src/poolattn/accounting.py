@@ -12,7 +12,8 @@ pooled; its `flops_proj`, 2*N*(2*chat*C + C^2), is also what the paper's
 order, projecting every position first, costs SPA. CPA projects the C x C Gram matrix
 and its softmax map, not the input, so its projections cost 6*C^3.
 Absolute numbers are convention-dependent; the ratios (N/T core reduction,
-zero added parameters, attention-map bytes) are not.
+zero added parameters, attention-map bytes) are not. The core ratio is N/T
+with or without the softmax terms, which are 5 x each map's own size.
 """
 
 from __future__ import annotations
@@ -129,14 +130,10 @@ def cost_cpa(c: int, h: int, w: int, with_proj: bool, dtype=np.float32) -> CostR
     )
 
 
-def reduction_ratio(nb: CostReport, spa: CostReport, include_softmax: bool = False) -> float:
-    """Core-FLOPs ratio baseline/pooled; with softmax excluded this is exactly N/T."""
+def reduction_ratio(nb: CostReport, spa: CostReport) -> float:
+    """Core-FLOPs ratio baseline/pooled: exactly N/T, with or without the softmax terms
+    (each map's softmax is 5 x its size), so those are left out."""
     if nb.shape != spa.shape:
         raise ComparisonError(f"cost reports compare only at one shape: "
                               f"{nb.shape} vs {spa.shape}")
-    top = nb.flops_map + nb.flops_agg
-    bottom = spa.flops_map + spa.flops_agg
-    if include_softmax:
-        top += nb.flops_softmax
-        bottom += spa.flops_softmax
-    return top / bottom
+    return (nb.flops_map + nb.flops_agg) / (spa.flops_map + spa.flops_agg)

@@ -80,6 +80,10 @@ class ProjectionWeights:
         if self.w_v.shape != (c, c):
             raise DimensionError(f"w_v must be {c}x{c} to preserve channels for the residual, "
                                  f"got {self.w_v.shape}")
+        dtypes = {self.w_q.dtype, self.w_k.dtype, self.w_v.dtype}
+        if len(dtypes) != 1 or self.w_q.dtype not in ops._ALLOWED:
+            raise DimensionError(f"projection weights must share one dtype, float32 or float64, "
+                                 f"got {self.w_q.dtype}, {self.w_k.dtype}, {self.w_v.dtype}")
 
     @property
     def channels(self) -> int:
@@ -194,8 +198,9 @@ def _flatten(x: np.ndarray, proj: ProjectionWeights | None) -> tuple[np.ndarray,
         raise DimensionError(f"attention input must be CxHxW, got shape {x.shape}")
     _check_dims(x, "attention input")
     c, h, w = x.shape
-    if proj is not None and proj.channels != c:
-        raise DimensionError(f"projection expects {proj.channels} channels, input has {c}")
+    if proj is not None and (proj.channels, proj.w_q.dtype) != (c, x.dtype):
+        raise DimensionError(f"projection expects {proj.channels} channels of "
+                             f"{proj.w_q.dtype}, input has {c} of {x.dtype}")
     return x.reshape(c, h * w), c, h, w
 
 

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flops", help="closed-form cost reports and the reduction ratio")
     _add_shape_flags(p)
     p.add_argument("--include-softmax", action="store_true",
-                   help="include softmax terms in the reduction ratio")
+                   help="kept in the report's config; changes no number (the ratio is N/T)")
     p.add_argument("--out", default=None, help="also write the JSON report here")
 
     p = sub.add_parser("bench", help="wall-time comparison of baseline vs pooled attention")

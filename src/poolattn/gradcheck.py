@@ -116,10 +116,6 @@ def _dims(config: dict) -> tuple[int, int, tuple[int, int]]:
     return config["c"], config.get("chat", config["c"]), (config["height"], config["width"])
 
 
-def _gate(config: dict, key: str, rng: Rng) -> float:
-    return 0.5 + rng.next_unit() if config.get(key) is None else float(config[key])
-
-
 def _nonlocal_case(config, rng, seed):
     c, chat, hw = _dims(config)
     proj = init_projection(rng, c, chat)
@@ -136,7 +132,7 @@ def _spa_case(config, rng, seed):
     even = PyramidSpec(tuple(config["even"])) if "even" in config else None
     proj = init_projection(rng, c, chat)
     m = spa_module(proj, SpaMode(config["mode"]), odd_spec=odd,
-                   even_spec=even, lam=_gate(config, "lam", rng))
+                   even_spec=even, lam=0.5 + rng.next_unit())
     x = rng.fill_uniform((c, *hw), 1.0)
     return ({"x": x, **m.params}, lambda: spa_forward(x, m)[0],
             lambda g: spa_backward(x, m, g), x.shape)
@@ -145,7 +141,7 @@ def _spa_case(config, rng, seed):
 def _cpa_case(config, rng, seed):
     c, _, hw = _dims(config)
     proj = init_projection(rng, c) if config["with_proj"] else None
-    m = CpaModule(proj, CpaMode(config["mode"]), _gate(config, "mu", rng))
+    m = CpaModule(proj, CpaMode(config["mode"]), 0.5 + rng.next_unit())
     x = rng.fill_uniform((c, *hw), 1.0)
     return ({"x": x, **m.params}, lambda: cpa_forward(x, m)[0],
             lambda g: cpa_backward(x, m, g), x.shape)

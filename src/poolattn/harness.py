@@ -52,11 +52,12 @@ def _environment() -> dict:
 def flops_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
                  spec_v: PyramidSpec, dtype_name: str,
                  include_softmax: bool) -> dict:
+    """Costs and the N/T ratio; `include_softmax` changes no number, it is only echoed."""
     dtype = resolve_dtype(dtype_name)
     names = (spec_name(spec_k), spec_name(spec_v))
     nb = accounting.cost_nonlocal(c, chat, h, w, dtype)
     spa = accounting.cost_spa(c, chat, h, w, spec_k, spec_v, dtype)
-    ratio = accounting.reduction_ratio(nb, spa, include_softmax)
+    ratio = accounting.reduction_ratio(nb, spa)
     warnings = []
     t, n = anchor_count(spec_k), h * w
     if t > n:
@@ -142,12 +143,11 @@ def equivalence_report(seeds: int, sizes: list[int], channels: list[int],
             lam = 0.25 + rng.next_unit()
 
             full = PyramidSpec((size,))
-            mode = SpaMode.ONLY_ODD if size % 2 else SpaMode.ONLY_EVEN
-            spa_out, _ = spa_forward(x, SpaModule(proj, mode, full, full, lam))
+            spa_out, _ = spa_forward(x, SpaModule(proj, SpaMode.MIXED, full, full, lam))
             nb_out, _ = nonlocal_forward(x, proj, lam)
             max_abs = float(np.max(np.abs(spa_out - nb_out)))
 
-            closed_spa, _ = spa_forward(x, SpaModule(proj, mode, full, full, 0.0))
+            closed_spa, _ = spa_forward(x, SpaModule(proj, SpaMode.MIXED, full, full, 0.0))
             closed_nb, _ = nonlocal_forward(x, proj, 0.0)
             closed_cpa, _ = cpa_forward(x, CpaModule(None, CpaMode.SUBTRACT, 0.0))
             bitwise = (np.array_equal(closed_spa, x) and np.array_equal(closed_nb, x)

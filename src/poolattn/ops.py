@@ -300,11 +300,11 @@ def cross_entropy_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float,
     flat = logits.reshape(k, h * w)
     shifted = flat - flat.max(axis=0, keepdims=True)
     expv = np.exp(shifted)
-    probs = expv / expv.sum(axis=0, keepdims=True)
+    total = expv.sum(axis=0, keepdims=True)
     idx = lab.reshape(-1)
-    picked = shifted[idx, np.arange(h * w)] - np.log(expv.sum(axis=0))
+    picked = shifted[idx, np.arange(h * w)] - np.log(total[0])
     loss = float(-picked.mean())
-    grad = probs.copy()
+    grad = expv / total
     grad[idx, np.arange(h * w)] -= 1.0
     grad /= h * w
     return loss, _finite(grad.reshape(k, h, w).astype(logits.dtype), "cross_entropy_logits")

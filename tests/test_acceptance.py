@@ -39,7 +39,7 @@ def test_criterion_2_complexity_reduction():
     t0 = time.perf_counter()
     nb = cost_nonlocal(64, 64, 96, 96)
     spa = cost_spa(64, 64, 96, 96, PAPER_EVEN, PAPER_ODD)
-    ratio = reduction_ratio(nb, spa, include_softmax=False)
+    ratio = reduction_ratio(nb, spa)
     assert abs(ratio - 9216 / 325) < 1e-9
     assert abs(ratio - 28.356) <= 1e-3
 

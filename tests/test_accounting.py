@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poolattn import instrument
 from poolattn.accounting import (cost_cpa, cost_nonlocal, cost_spa, reduction_ratio)
@@ -75,8 +76,20 @@ def test_reduction_ratio_channel_invariant_and_softmax_neutral():
         spa = cost_spa(c, chat, 20, 20, PyramidSpec((1, 2)), PyramidSpec((1, 2)))
         n_over_t = 400 / 5
         assert reduction_ratio(nb, spa) == pytest.approx(n_over_t, abs=1e-9)
-        assert reduction_ratio(nb, spa, include_softmax=True) == \
-            pytest.approx(n_over_t, abs=1e-9)
+        with_softmax = ((nb.flops_map + nb.flops_softmax + nb.flops_agg)
+                        / (spa.flops_map + spa.flops_softmax + spa.flops_agg))
+        assert with_softmax == reduction_ratio(nb, spa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 200), st.integers(1, 200),
+       st.sampled_from([PAPER_EVEN, PAPER_ODD, PyramidSpec((1, 2)), PyramidSpec((1, 3, 5)),
+                        PyramidSpec((4,))]),
+       st.sampled_from([np.float32, np.float64]))
+def test_reduction_ratio_is_exactly_n_over_t(c, chat, h, w, spec, dtype):
+    nb = cost_nonlocal(c, chat, h, w, dtype)
+    spa = cost_spa(c, chat, h, w, spec, spec, dtype)
+    assert reduction_ratio(nb, spa) == h * w / anchor_count(spec)
 
 
 def test_reduction_ratio_shape_mismatch():

@@ -672,6 +672,25 @@ def test_projection_weight_validation():
         ProjectionWeights(np.ones((2, 3)), np.ones((3, 3)), np.ones((3, 3)))
     with pytest.raises(DimensionError):
         ProjectionWeights(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 2)))
+    for w_q, w_kv in [(ops.F32, ops.F64), (np.int64, np.int64)]:
+        with pytest.raises(DimensionError, match="share one dtype, float32 or float64"):
+            ProjectionWeights(np.ones((2, 3), w_q), np.ones((2, 3), w_kv),
+                              np.ones((3, 3), w_kv))
+
+
+@pytest.mark.parametrize("forward", [
+    lambda x, proj: nonlocal_forward(x, proj, 0.5),
+    lambda x, proj: spa_forward(x, SpaModule(proj, SpaMode.ONLY_ODD, PyramidSpec((1, 3)),
+                                             PyramidSpec((1, 3)), 0.5)),
+    lambda x, proj: cpa_forward(x, CpaModule(proj, CpaMode.SUBTRACT, 0.5)),
+], ids=["nonlocal", "spa", "cpa"])
+def test_forward_names_a_projection_of_another_dtype(forward):
+    rng = Rng(2)
+    proj = init_projection(rng, 2, dtype=ops.F32)
+    x = rng.fill_uniform((2, 4, 4), 1.0)
+    with pytest.raises(DimensionError, match="projection expects 2 channels of float32, "
+                                             "input has 2 of float64"):
+        forward(x, proj)
 
 
 # --- float32 agreement -------------------------------------------------------------

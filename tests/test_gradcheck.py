@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from poolattn import ops
+from poolattn.attention import SpaMode, init_projection, spa_backward, spa_forward, spa_module
 from poolattn.errors import OracleError
 from poolattn.gradcheck import (MANIFEST, compare_grads, check_module, finite_diff_grad)
+from poolattn.pooling import PyramidSpec
 from poolattn.rng import Rng
 
 
@@ -67,8 +69,20 @@ def test_check_module_spa_small_config_passes():
 
 
 def test_check_module_gate_at_zero_passes():
-    reports = check_module("spa", {"c": 3, "height": 4, "width": 4, "mode": "only-odd",
-                                   "odd": (1, 3), "lam": 0.0}, seed=1)
+    # A closed gate: the output is x, the projections' gradients are 0 and lam's is sum(g*agg).
+    rng = Rng(1)
+    m = spa_module(init_projection(rng, 3), SpaMode.ONLY_ODD, odd_spec=PyramidSpec((1, 3)),
+                   lam=0.0)
+    x = rng.fill_uniform((3, 4, 4), 1.0)
+    weights = rng.fill_uniform(x.shape, 1.0)
+    analytic = spa_backward(x, m, weights)
+
+    def loss(_probed):
+        return float(np.sum(weights * spa_forward(x, m)[0]))
+
+    reports = [compare_grads(name, analytic[name], finite_diff_grad(loss, target), 1e-4)
+               for name, target in {"x": x, **m.params}.items()]
+    assert {r.target for r in reports} == {"x", "w_q", "w_k", "w_v", "lam"}
     assert all(r.passed for r in reports)
     lam_report = next(r for r in reports if r.target == "lam")
     assert lam_report.max_rel_error < 1e-6
