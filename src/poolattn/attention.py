@@ -31,8 +31,8 @@ is not the output's raises DimensionError. The analytic reverse-mode derivations
 validated against finite differences (see gradcheck). Transposed operands reach
 `ops.matmul` as views, which BLAS reads in place, not as copies.
 
-`spa_forward` and `cpa_forward` return their map as a read-only view and keep their
-forward while the caller holds that map; one slot holds the last SPA or CPA forward.
+`spa_forward` and `cpa_forward` freeze their map and return a view of it, and keep their
+forward while the caller holds that view; one slot holds the last SPA or CPA forward.
 `spa_backward(x, m, g)` and `cpa_backward(x, m, g)` reuse it when `x` and `m` are the
 forward's own objects and `x` and every parameter still hold the bits copied at the
 forward (a module's other fields are fixed), so a forward and its backward run the
@@ -356,11 +356,11 @@ class _KeptForward:
     cache: tuple
 
     def serves(self, x: np.ndarray, m: SpaModule | CpaModule) -> bool:
-        """Whether the map is still held, still read-only, and `x` and `m` are the
-        forward's own objects with the values it read. The module's fields are fixed,
-        so its values are the only part of it that can have changed."""
+        """Whether the map is still held, its buffer still frozen, and `x` and `m` are
+        the forward's own objects with the values it read. The module's fields are
+        fixed, so its values are the only part of it that can have changed."""
         attn = self.map_ref()
-        return (attn is not None and not attn.flags.writeable and x is self.x
+        return (attn is not None and not attn.base.flags.writeable and x is self.x
                 and m is self.m
                 and all(_same_bits(v, self.values[k])
                         for k, v in {"x": x, **m.params}.items()))
@@ -380,11 +380,11 @@ def _forget(map_ref: weakref.ref) -> None:
 
 
 def _keep(x: np.ndarray, m: SpaModule | CpaModule, attn: np.ndarray, cache: tuple) -> np.ndarray:
-    """Keep this forward in the slot while the caller holds the read-only view of its
-    map that this returns."""
+    """Keep this forward in the slot while the caller holds the view of its frozen map
+    that this returns; the cache reads that map, so `serves` checks it is still frozen."""
     global _kept
+    attn.flags.writeable = False
     view = attn.view()
-    view.flags.writeable = False
     _kept = _KeptForward(weakref.ref(view, _forget), x, m,
                          {k: v.copy() for k, v in {"x": x, **m.params}.items()}, cache)
     return view
@@ -399,9 +399,9 @@ def _kept_cache(x: np.ndarray, m: SpaModule | CpaModule, stages) -> tuple:
 def spa_forward(x: np.ndarray, m: SpaModule) -> tuple[np.ndarray, np.ndarray]:
     """Pyramid-anchored attention; returns the output and the T x N anchor map.
 
-    The map is a read-only view. While the caller holds it, this forward is kept
-    for `spa_backward` with the same `x` and `m` (see the module docstring), with
-    copies of the values of `x` and of `m.params`.
+    The map is a read-only view of a frozen buffer. While the caller holds it, this
+    forward is kept for `spa_backward` with the same `x` and `m` (see the module
+    docstring), with copies of the values of `x` and of `m.params`.
     """
     out, attn, cache = spa_stages(x, m)
     return out, _keep(x, m, attn, cache)
@@ -476,9 +476,9 @@ def cpa_forward(x: np.ndarray, m: CpaModule) -> tuple[np.ndarray, np.ndarray]:
     """Channel reweighting through the max-difference affinity; returns the output and
     the C x C map.
 
-    The map is a read-only view. While the caller holds it, this forward is kept
-    for `cpa_backward` with the same `x` and `m` (see the module docstring), with
-    copies of the values of `x` and of `m.params`.
+    The map is a read-only view of a frozen buffer. While the caller holds it, this
+    forward is kept for `cpa_backward` with the same `x` and `m` (see the module
+    docstring), with copies of the values of `x` and of `m.params`.
     """
     out, attn, cache = cpa_stages(x, m)
     return out, _keep(x, m, attn, cache)

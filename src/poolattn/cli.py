@@ -32,11 +32,11 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _spatial(args, parser: argparse.ArgumentParser) -> tuple[int, int]:
-    if args.hw is not None:
+    if args.hw is not None and args.height is None and args.width is None:
         return args.hw, args.hw
-    if args.height is not None and args.width is not None:
+    if args.hw is None and args.height is not None and args.width is not None:
         return args.height, args.width
-    parser.error("provide --hw or both --height and --width")
+    parser.error("provide --hw or both --height and --width, not --hw with either")
 
 
 def _at_least(minimum: int):
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=integers, default="3,5",
                    help="comma list of square sizes")
     p.add_argument("--channels", type=integers, default="2,4",
-                   help="comma list paired with --sizes")
+                   help="comma list, one channel count per --sizes entry")
     p.add_argument("--tol", type=_positive_float, default=1e-12)
     p.add_argument("--out", default=None)
 

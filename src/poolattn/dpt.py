@@ -31,12 +31,20 @@ VERSION = 1
 _DTYPES = (np.dtype(np.float32), np.dtype(np.float64))     # indexed by the dtype code
 
 
+def _check_shape(path: str | Path, shape) -> tuple[int, ...]:
+    """The shape rule of DPT files and JSON tensors, and of `ops`: 1..4 integers >= 1."""
+    if not isinstance(shape, (list, tuple)) or not all(type(d) is int and d >= 1 for d in shape):
+        raise DptFormatError(f"{path}: shape must be a list of integers >= 1, got {shape!r}")
+    if not 1 <= len(shape) <= 4:
+        raise DptFormatError(f"{path}: rank {len(shape)} outside 1..4")
+    return tuple(shape)
+
+
 def write_dpt(path: str | Path, arr: np.ndarray) -> None:
+    _check_shape(path, np.shape(arr))       # before ascontiguousarray makes 0-d arrays 1-d
     arr = np.ascontiguousarray(arr)
     if arr.dtype not in _DTYPES:
         raise DptFormatError(f"DPT stores float32/float64 only, got {arr.dtype}")
-    if not 1 <= arr.ndim <= 4:
-        raise DptFormatError(f"DPT stores rank 1..4, got rank {arr.ndim}")
     header = MAGIC + struct.pack("<BBB", VERSION, _DTYPES.index(arr.dtype), arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     with open(path, "wb") as f:       # the payload goes from the array's own buffer
@@ -58,14 +66,10 @@ def _parse_dpt(path: str | Path, raw: bytes) -> np.ndarray:
         raise DptFormatError(f"{path}: unsupported version {version}")
     if code >= len(_DTYPES):
         raise DptFormatError(f"{path}: unknown dtype code {code}")
-    if not 1 <= rank <= 4:
-        raise DptFormatError(f"{path}: rank {rank} outside 1..4")
     dims_end = 11 + 4 * rank
     if len(raw) < dims_end:
         raise DptFormatError(f"{path}: truncated dims block")
-    dims = struct.unpack(f"<{rank}I", raw[11:dims_end])
-    if any(d < 1 for d in dims):
-        raise DptFormatError(f"{path}: dims must be >= 1, got {dims}")
+    dims = _check_shape(path, struct.unpack(f"<{rank}I", raw[11:dims_end]))
     dtype = _DTYPES[code]
     expected = math.prod(dims) * dtype.itemsize
     if len(raw) - dims_end != expected:
@@ -95,17 +99,12 @@ def _read_json_tensor(path: str | Path, raw: bytes) -> np.ndarray:
     if not isinstance(name, str) or name not in DTYPES:
         raise DptFormatError(f"{path}: JSON tensor dtype must be "
                              f"{' or '.join(map(repr, DTYPES))}")
+    shape = _check_shape(path, obj["shape"])
+    data = np.asarray(obj["data"], dtype=object).reshape(-1)   # no boolean or string cast
+    if data.size != math.prod(shape) or any(type(v) not in (int, float) for v in data):
+        raise DptFormatError(f"{path}: JSON tensor data must be {math.prod(shape)} numbers "
+                             f"for shape {shape}")
     try:
-        shape = tuple(int(d) for d in obj["shape"])
-        data = np.asarray(obj["data"], dtype=DTYPES[name]).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise DptFormatError(f"{path}: JSON tensor shape and data must be numbers "
-                             f"({exc})") from exc
-    if not 1 <= len(shape) <= 4:
-        raise DptFormatError(f"{path}: rank {len(shape)} outside 1..4")
-    if any(d < 1 for d in shape):
-        raise DptFormatError(f"{path}: dims must be >= 1, got {shape}")
-    if data.size != math.prod(shape):
-        raise DptFormatError(f"{path}: JSON tensor data length {data.size} "
-                             f"does not match shape {shape}")
-    return data.reshape(shape)
+        return data.astype(DTYPES[name]).reshape(shape)
+    except OverflowError as exc:      # an integer beyond float64's range
+        raise DptFormatError(f"{path}: JSON tensor data overflows {name} ({exc})") from exc

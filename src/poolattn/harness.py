@@ -129,14 +129,13 @@ def bench_report(c: int, chat: int, h: int, w: int, spec_k: PyramidSpec,
 def equivalence_report(seeds: int, sizes: list[int], channels: list[int],
                        tolerance: float = 1e-12) -> dict:
     """Full-resolution-pooling oracle plus gate-closed identity, per seed and size."""
-    if seeds < 1 or not sizes or not channels:
-        raise ConfigurationError(f"equivalence needs seeds >= 1 and non-empty sizes and "
-                                 f"channels, got seeds={seeds}, sizes={sizes}, "
+    if seeds < 1 or not sizes or len(channels) != len(sizes):
+        raise ConfigurationError(f"equivalence needs seeds >= 1 and one channel count per "
+                                 f"size, got seeds={seeds}, sizes={sizes}, "
                                  f"channels={channels}")
     cases = []
     for seed in range(seeds):
-        for idx, size in enumerate(sizes):
-            c = channels[idx % len(channels)]
+        for size, c in zip(sizes, channels):
             rng = Rng(seed * 7919 + size)
             proj = init_projection(rng, c)
             x = rng.fill_uniform((c, size, size), 1.0)

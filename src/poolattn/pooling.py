@@ -25,12 +25,13 @@ class PyramidSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
+        if not all((type(n) is int or isinstance(n, np.integer)) and n >= 1
+                   for n in self.sizes):
+            raise ConfigurationError(f"pyramid sizes must be integers >= 1, got {self.sizes}")
         sizes = tuple(int(n) for n in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if not sizes:
             raise ConfigurationError("pyramid spec needs at least one size")
-        if any(n < 1 for n in sizes):
-            raise ConfigurationError(f"pyramid sizes must be >= 1, got {sizes}")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ConfigurationError(f"pyramid sizes must be strictly increasing, got {sizes}")
 

@@ -272,6 +272,8 @@ def test_spa_forward_returns_a_read_only_map():
             attn[0, 0] = 1.0
         with pytest.raises(ValueError):
             attn *= 2
+        with pytest.raises(ValueError):     # the buffer the kept forward reads is frozen
+            attn.base[0, 0] = 1.0
 
 
 def _edit(a, x, m, to=lambda v: v + 0.25):
@@ -294,8 +296,8 @@ def _as_f64(x, m, held):
 
 
 def _writable(x, m, held):
-    """The held map made writable again, so a caller could have written into it."""
-    held[1].flags.writeable = True
+    """The held map's buffer unfrozen, so a caller could have written into it."""
+    held[1].base.flags.writeable = True
     return x, m
 
 

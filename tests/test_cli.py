@@ -158,7 +158,8 @@ def test_equivalence_injected_failure_detected(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("seeds,sizes,channels", [(0, [3], [2]), (-1, [3], [2]),
-                                                   (1, [], [2]), (1, [3], [])])
+                                                   (1, [], [2]), (1, [3], []),
+                                                   (1, [3], [2, 4])])
 def test_equivalence_report_refuses_an_empty_suite(seeds, sizes, channels):
     with pytest.raises(ConfigurationError, match="equivalence needs"):
         harness.equivalence_report(seeds, sizes, channels)
@@ -322,10 +323,23 @@ def _bad_inputs(tmp_path):
     strings.write_text(json.dumps({"shape": [1, 1, 2], "data": ["a", "b"]}))
     negative = tmp_path / "negative-dims.json"
     negative.write_text(json.dumps({"shape": [-1, 1, -2], "data": [1.0, 2.0]}))
-    return {"huge-dims": huge, "nan": nan, "strings": strings, "negative-dims": negative}
+    files = {"huge-dims": huge, "nan": nan, "strings": strings, "negative-dims": negative}
+    # Each would read as a 1 x 1 x 2 or 2 x 1 x 2 map if its values were cast.
+    for case, shape, data in (("string-shape", "112", [1, 2]),
+                              ("float-shape", [2.7, 1, 2], [1, 2, 3, 4]),
+                              ("bool-shape", [True, 1, 2], [1, 2]),
+                              ("bool-data", [1, 1, 2], [True, False]),
+                              ("mixed-bool-data", [1, 1, 2], [True, 1]),
+                              ("numeric-string-data", [1, 1, 2], ["1", "2.5"]),
+                              ("huge-int-data", [1, 1, 2], [1, 10 ** 400])):
+        files[case] = tmp_path / f"{case}.json"
+        files[case].write_text(json.dumps({"shape": shape, "data": data}))
+    return files
 
 
-@pytest.mark.parametrize("case", ["huge-dims", "nan", "strings", "negative-dims"])
+@pytest.mark.parametrize("case", ["huge-dims", "nan", "strings", "negative-dims",
+                                  "string-shape", "float-shape", "bool-shape", "bool-data",
+                                  "mixed-bool-data", "numeric-string-data", "huge-int-data"])
 def test_attn_bad_input_exits_2(tmp_path, case):
     src = _bad_inputs(tmp_path)[case]
     out = run_cli("attn", "--input", str(src), "--module", "spa", "--spec-k", "1",
@@ -451,6 +465,21 @@ def test_bad_integer_flag_exits_2(flag, args, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["flops", "--hw", "8", "--height", "4", "--width", "6"],
+    ["flops", "--hw", "8", "--height", "4"],
+    ["bench", "--hw", "8", "--width", "6"],
+    ["flops", "--height", "4"],
+])
+def test_hw_and_height_width_are_one_or_the_other(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in ("--hw", "--height", "--width"))
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag,args", [

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from poolattn import ops
 from poolattn.dpt import MAGIC, read_dpt, read_tensor, write_dpt
-from poolattn.errors import DptFormatError
+from poolattn.errors import DimensionError, DptFormatError
 from poolattn.rng import Rng
 
 
@@ -75,6 +76,11 @@ def test_rejects_unsupported_rank_and_dtype(tmp_path):
         write_dpt("/tmp/never-written.dpt", np.ones((2, 2, 2, 2, 2)))
     with pytest.raises(DptFormatError):
         write_dpt("/tmp/never-written.dpt", np.ones(3, dtype=np.int32))
+    # The writer refuses a zero-size dim, as both readers do.
+    never = tmp_path / "never-written.dpt"
+    with pytest.raises(DptFormatError, match=re.escape(f"{never}: shape must be")):
+        write_dpt(never, np.ones((2, 0)))
+    assert not never.exists()
     # The JSON form holds to the same ranks as DPT files and `ops`.
     path = tmp_path / "t.json"
     for shape, data in (([], [3]), ([1, 1, 1, 1, 2], [1, 2])):
@@ -82,6 +88,60 @@ def test_rejects_unsupported_rank_and_dtype(tmp_path):
         message = f"{path}: rank {len(shape)} outside 1..4"
         with pytest.raises(DptFormatError, match=re.escape(message)):
             read_tensor(path)
+    # A shape is a list of integers: nothing is cast to one.
+    for shape in ("12", [2.7], [True, 2], [2.0], {"0": 2}):
+        path.write_text(json.dumps({"shape": shape, "data": [1, 2]}))
+        with pytest.raises(DptFormatError, match=re.escape(f"{path}: shape must be")):
+            read_tensor(path)
+    # The data must be numbers too: a boolean or a string is not cast to one.
+    for data in ([True, False], [True, 1], [1, "2"], [1, None], [[1], [2, 3]]):
+        path.write_text(json.dumps({"shape": [2], "data": data}))
+        with pytest.raises(DptFormatError, match=re.escape(f"{path}: JSON tensor data must")):
+            read_tensor(path)
+
+
+def _rule_cases(dtype):
+    shapes = hnp.array_shapes(min_dims=0, max_dims=5, min_side=0, max_side=3)
+    elements = (None if dtype == np.int32 else
+                st.floats(allow_nan=False, allow_infinity=False, width=8 * dtype().itemsize))
+    return hnp.arrays(dtype, shapes, elements=elements)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([np.float32, np.float64, np.int32]).flatmap(_rule_cases))
+def test_writer_and_readers_hold_to_the_ops_rule(tmp_path_factory, arr):
+    # `write_dpt` takes exactly the arrays `ops` takes, `read_dpt` returns each bit for
+    # bit, and the JSON form takes exactly the shapes `ops` takes.
+    def accepted(a):
+        try:
+            ops._check_dims(a, "rule")
+        except DimensionError:
+            return False
+        return True
+
+    base = tmp_path_factory.getbasetemp()
+    path = base / "rule.dpt"
+    path.unlink(missing_ok=True)
+    if accepted(arr):
+        write_dpt(path, arr)
+        back = read_dpt(path)
+        assert (back.dtype, back.shape, back.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
+    else:
+        with pytest.raises(DptFormatError):
+            write_dpt(path, arr)
+        assert not path.exists()
+    as_float = arr if arr.dtype.kind == "f" else arr.astype(np.float64)
+    json_path = base / "rule.json"
+    json_path.write_text(json.dumps({"shape": list(arr.shape),
+                                     "data": as_float.reshape(-1).tolist(),
+                                     "dtype": ops.dtype_name(as_float.dtype)}))
+    if accepted(as_float):
+        back = read_tensor(json_path)
+        assert (back.dtype, back.shape, back.tobytes()) == (as_float.dtype, as_float.shape,
+                                                            as_float.tobytes())
+    else:
+        with pytest.raises(DptFormatError):
+            read_tensor(json_path)
 
 
 def test_json_tensor_form(tmp_path):

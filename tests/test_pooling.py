@@ -49,6 +49,10 @@ def test_spec_validation():
         PyramidSpec((2, 1))
     with pytest.raises(ConfigurationError):
         PyramidSpec((0, 2))
+    for sizes in ((1, 2.5), (True, 3), (1, 2.0), (np.float64(1), 2)):
+        with pytest.raises(ConfigurationError, match="integers"):
+            PyramidSpec(sizes)
+    assert PyramidSpec((np.int64(1), np.int32(3))).sizes == (1, 3)
 
 
 def test_parse_spec():

@@ -5,7 +5,8 @@
 Runs each invocation with this checkout's `src` and writes, into `<dir>`,
 `<name>.stdout`, `<name>.stderr` and `<name>.code` (the exit code), plus
 `<name>.tensor.dpt` and `<name>.attn.dpt` for the `attn` runs. The `attn`
-inputs are drawn from `poolattn.rng` into `<dir>/inputs`. Every occurrence of
+inputs are drawn from `poolattn.rng` into `<dir>/inputs`, as DPT files and
+one JSON tensor. Every occurrence of
 `<dir>` in the text outputs becomes `@DIR@`, so the runs of two checkouts
 compare with `diff -r`:
 
@@ -64,18 +65,27 @@ def invocations(out: Path) -> dict[str, list[str]]:
                           "--module", module.split("-")[0], *flags,
                           "--out-tensor", str(out / f"{name}.tensor.dpt"),
                           "--out-attn", str(out / f"{name}.attn.dpt")]
+    runs["attn-spa-json-f32"] = ["attn", "--input", str(out / "inputs" / "x-f32.json"),
+                                 "--module", "spa", *ATTN_MODULES["spa"],
+                                 "--out-tensor", str(out / "attn-spa-json-f32.tensor.dpt"),
+                                 "--out-attn", str(out / "attn-spa-json-f32.attn.dpt")]
     return runs
 
 
 def write_inputs(folder: Path, env: dict) -> None:
-    """One 8x20x20 input per dtype, drawn with the package's own generator."""
+    """One 8x20x20 DPT input per dtype and one 4x10x10 float32 JSON input, drawn with
+    the package's own generator."""
     folder.mkdir(parents=True, exist_ok=True)
-    script = ("import sys\n"
+    script = ("import json, sys\n"
               "from poolattn.dpt import write_dpt\n"
               "from poolattn.rng import Rng\n"
               "for seed, dtype in ((1, 'float32'), (2, 'float64')):\n"
               "    x = Rng(seed).fill_uniform((8, 20, 20), 1.0, dtype)\n"
-              "    write_dpt(f'{sys.argv[1]}/x-f{x.dtype.itemsize * 8}.dpt', x)\n")
+              "    write_dpt(f'{sys.argv[1]}/x-f{x.dtype.itemsize * 8}.dpt', x)\n"
+              "x = Rng(3).fill_uniform((4, 10, 10), 1.0, 'float32')\n"
+              "with open(f'{sys.argv[1]}/x-f32.json', 'w') as f:\n"
+              "    json.dump({'shape': list(x.shape), 'data': x.reshape(-1).tolist(),\n"
+              "               'dtype': 'f32'}, f)\n")
     subprocess.run([sys.executable, "-c", script, str(folder)], env=env, check=True)
 
 
