@@ -105,6 +105,11 @@ def _read_json_tensor(path: str | Path, raw: bytes) -> np.ndarray:
         raise DptFormatError(f"{path}: JSON tensor data must be {math.prod(shape)} numbers "
                              f"for shape {shape}")
     try:
-        return data.astype(DTYPES[name]).reshape(shape)
+        wide = data.astype(np.float64)
     except OverflowError as exc:      # an integer beyond float64's range
         raise DptFormatError(f"{path}: JSON tensor data overflows {name} ({exc})") from exc
+    with np.errstate(over="ignore"):  # a finite number beyond f32's range casts to inf
+        arr = wide.astype(DTYPES[name], copy=False)
+    if (np.isinf(arr) != np.isinf(wide)).any():
+        raise DptFormatError(f"{path}: JSON tensor data overflows {name}")
+    return arr.reshape(shape)

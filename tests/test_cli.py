@@ -334,12 +334,16 @@ def _bad_inputs(tmp_path):
                               ("huge-int-data", [1, 1, 2], [1, 10 ** 400])):
         files[case] = tmp_path / f"{case}.json"
         files[case].write_text(json.dumps({"shape": shape, "data": data}))
+    files["f32-overflow-data"] = tmp_path / "f32-overflow-data.json"   # finite, beyond f32
+    files["f32-overflow-data"].write_text(json.dumps({"shape": [1, 1, 1], "data": [1e39],
+                                                      "dtype": "f32"}))
     return files
 
 
 @pytest.mark.parametrize("case", ["huge-dims", "nan", "strings", "negative-dims",
                                   "string-shape", "float-shape", "bool-shape", "bool-data",
-                                  "mixed-bool-data", "numeric-string-data", "huge-int-data"])
+                                  "mixed-bool-data", "numeric-string-data", "huge-int-data",
+                                  "f32-overflow-data"])
 def test_attn_bad_input_exits_2(tmp_path, case):
     src = _bad_inputs(tmp_path)[case]
     out = run_cli("attn", "--input", str(src), "--module", "spa", "--spec-k", "1",
@@ -348,6 +352,8 @@ def test_attn_bad_input_exits_2(tmp_path, case):
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and str(src) in out.stderr
     assert "Traceback" not in out.stderr
+    if case == "f32-overflow-data":
+        assert out.stderr.count("\n") == 1 and "overflows f32" in out.stderr
 
 
 def _attn_on_bytes(tmp_dir, raw: bytes) -> tuple[int, str]:
@@ -411,6 +417,14 @@ def test_invalid_thread_cap_exits_2():
 def test_thread_cap_accepted():
     out = run_cli("flops", "--hw", "8", env={"POOLATTN_THREADS": "1"})
     assert out.returncode == 0
+
+
+def test_long_runs_print_the_same_bytes_at_one_and_two_threads():
+    # Results do not depend on thread timing: BLAS at one thread or two, the same stdout.
+    for args in (("train-demo",), ("gradcheck", "--kind", "all")):
+        runs = [run_cli(*args, env={"POOLATTN_THREADS": n}) for n in ("1", "2")]
+        assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout, args
 
 
 _BENCH_WITH_BLAS_ENV = (

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -136,30 +138,37 @@ def test_pool_bins_larger_than_numpy_buffer_match_loop_oracle():
                        rtol=0, atol=1e-13)
 
 
-def test_pool_gathers_once_per_bin_area_from_cached_plan(monkeypatch):
-    # Every bin area but the one-bin level's 96 x 96, which is summed without a gather.
-    areas = set()
-    for n in PAPER_ODD.sizes[1:]:
-        edges = np.diff(loop_bin_edges(96, n))
-        areas.update(int(a) for a in np.outer(edges, edges).ravel())
-    assert 96 * 96 not in areas and len(areas) == 12
+def test_pool_gathers_once_per_call_from_a_read_only_cached_plan(monkeypatch):
+    # One gather of every bin's pixels but the one-bin level's 96 x 96, which is
+    # summed without one; the anchors' reorder is a take of the C x T sums.
+    c, h, w = 2, 96, 96
+    areas = [int(r) * int(k) for n in PAPER_ODD.sizes
+             for r in np.diff(loop_bin_edges(h, n)) for k in np.diff(loop_bin_edges(w, n))]
+    gathered = sum(areas) - h * w
     calls = []
     take = np.take
 
-    def counting_take(*args, **kwargs):
-        calls.append(args[1].shape)
-        return take(*args, **kwargs)
+    def counting_take(a, indices, *args, **kwargs):
+        calls.append((a.shape, np.shape(indices)))
+        return take(a, indices, *args, **kwargs)
 
     monkeypatch.setattr(np, "take", counting_take)
     pooling._pool_plan.cache_clear()
-    x = Rng(11).fill_uniform((2, 96, 96), 1.0)
+    x = Rng(11).fill_uniform((c, h, w), 1.0)
+    want = contiguous_pyramid_pool(x, PAPER_ODD.sizes)
     for _ in range(3):
-        pyramid_pool(x, PAPER_ODD)
-    assert len(calls) == 3 * len(areas)
-    assert sorted(shape[1] for shape in calls[: len(areas)]) == sorted(areas)
-    assert len(areas) < anchor_count(PAPER_ODD) // 10
+        assert pyramid_pool(x, PAPER_ODD).tobytes() == want.tobytes()
+    assert [i for a, i in calls if a == (c, h * w)] == [(gathered,)] * 3
+    assert [i for a, i in calls if a != (c, h * w)] == [(anchor_count(PAPER_ODD),)] * 3
     info = pooling._pool_plan.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+    plan = pooling._pool_plan(PAPER_ODD.sizes, h, w)
+    arrays = [plan.pixels, plan.order, plan.areas]
+    arrays += [a for _, _, rows, cols in plan.levels for a in (rows, cols)]
+    assert len(arrays) == 3 + 2 * len(PAPER_ODD.sizes)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 def test_pyramid_pool_size_error_names_size_that_misses_width():
@@ -258,6 +267,73 @@ def test_backward_matches_loop_oracle_bitwise(dtype):
         got = pyramid_pool_backward(grad, spec, h, w)
         assert got.dtype == grad.dtype
         assert np.array_equal(got, loop_pyramid_pool_backward(grad, sizes, h, w)), (sizes, h, w)
+
+
+@DTYPES
+@settings(max_examples=40, deadline=None)
+@given(_pool_case(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_backward_matches_loop_oracle_bitwise_property(dtype, case, channels, seed):
+    h, w, spec = case
+    grad = Rng(seed).fill_uniform((channels, anchor_count(spec)), 2.0, dtype)
+    got = pyramid_pool_backward(grad, spec, h, w)
+    want = loop_pyramid_pool_backward(grad, spec.sizes, h, w)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@DTYPES
+@pytest.mark.parametrize("case", ["negative-zero", "area-above-128"])
+def test_pool_and_adjoint_match_oracles_bytewise_at_edges(dtype, case):
+    # All -0.0: a zero's sign bit rides on where each sum starts, so it shows any other
+    # start. Bins of 156 to 182 pixels pass numpy's 128-element pairwise block, so
+    # its sum recurses.
+    c, h, w, sizes = (3, 6, 7, (1, 2, 3)) if case == "negative-zero" else (2, 25, 27, (1, 2))
+    spec = PyramidSpec(sizes)
+    rng = Rng(12)
+    x = rng.fill_uniform((c, h, w), 2.0, dtype)
+    grad = rng.fill_uniform((c, anchor_count(spec)), 2.0, dtype)
+    if case == "negative-zero":
+        x, grad = np.full_like(x, -0.0), np.full_like(grad, -0.0)
+    else:
+        rows, cols = np.diff(loop_bin_edges(h, 2)), np.diff(loop_bin_edges(w, 2))
+        assert sorted(np.outer(rows, cols).ravel()) == [156, 168, 169, 182]
+    assert pyramid_pool(x, spec).tobytes() == contiguous_pyramid_pool(x, sizes).tobytes()
+    got = pyramid_pool_backward(grad, spec, h, w)
+    assert got.tobytes() == loop_pyramid_pool_backward(grad, sizes, h, w).tobytes()
+
+
+def test_threads_pooling_at_once_give_the_serial_bytes():
+    # Four threads on two cores build or read the one cached plan and gather from it
+    # at once, switching every 10 us; the plan is read-only and every buffer written
+    # is the call's own, so each call gives the bytes of a serial one.
+    spec = PAPER_ODD
+    xs = [Rng(13 + i).fill_uniform((8, 40, 44), 2.0, (np.float32, np.float64)[i % 2])
+          for i in range(4)]
+    grads = [Rng(17 + i).fill_uniform((8, anchor_count(spec)), 2.0, x.dtype)
+             for i, x in enumerate(xs)]
+    want = [(pyramid_pool(x, spec).tobytes(), pyramid_pool_backward(g, spec, 40, 44).tobytes())
+            for x, g in zip(xs, grads)]
+    pooling._pool_plan.cache_clear()
+    barrier = threading.Barrier(len(xs))
+    got = [[] for _ in xs]
+
+    def work(i):
+        barrier.wait()
+        for _ in range(20):
+            got[i].append((pyramid_pool(xs[i], spec).tobytes(),
+                           pyramid_pool_backward(grads[i], spec, 40, 44).tobytes()))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[pair] * 20 for pair in want]
 
 
 @DTYPES

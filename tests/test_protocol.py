@@ -145,7 +145,8 @@ def test_every_dataclass_that_holds_arrays_compares_by_identity():
                if any("ndarray" in str(f.type) for f in dataclasses.fields(cls))}
     assert {"poolattn.attention.ProjectionWeights", "poolattn.attention.SpaModule",
             "poolattn.attention.CpaModule", "poolattn.attention._KeptForward",
-            "poolattn.network.DpaNetMini", "poolattn.network.SynthSample"} == set(holding)
+            "poolattn.network.DpaNetMini", "poolattn.network.SynthSample",
+            "poolattn.pooling._PoolPlan"} == set(holding)
     assert [name for name, cls in holding.items() if cls.__dataclass_params__.eq] == []
 
 
