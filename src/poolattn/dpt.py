@@ -89,8 +89,14 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 
 def _read_json_tensor(path: str | Path, raw: bytes) -> np.ndarray:
+    def finite_float(text: str) -> float:     # json.loads reads 1e309 as inf
+        value = float(text)
+        if math.isinf(value):
+            raise DptFormatError(f"{path}: JSON tensor data overflows f64")
+        return value
+
     try:
-        obj = json.loads(raw.decode("utf-8"))
+        obj = json.loads(raw.decode("utf-8"), parse_float=finite_float)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DptFormatError(f"{path}: neither DPT nor JSON tensor ({exc})") from exc
     if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:

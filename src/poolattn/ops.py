@@ -11,7 +11,9 @@ primitives check their operands, not their results, and enter no np.errstate;
 each stage of `attention`, `network` and `pooling` runs inside one (`_quiet`)
 and checks each output once. softmax's input check is the attention map's, and
 cross_entropy_logits and sgd_step are training's loss and update stages. So a
-public entry point still raises NonFiniteError on NaN/Inf anywhere.
+public entry point still raises NonFiniteError on NaN/Inf anywhere. An output check
+(`_finite`) is one BLAS dot of squares, and scans the array only when that is not
+finite; matmul tests the accepted case in one condition before naming any fault.
 
 softmax makes six passes over each slice of its map: line max, slice min,
 subtract, exp, sum, divide. The two extremes are its input check, and they bound
@@ -40,6 +42,7 @@ F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
 DTYPES = {"f32": F32, "f64": F64}      # the names flags, files and reports use
 _ALLOWED = tuple(DTYPES.values())
+_TINY = {dtype: float(np.finfo(dtype).tiny) for dtype in _ALLOWED}   # softmax's flush bound
 # Entries per slice of the softmax walks; one slice holds a C x C map up to C = 1024.
 # A slice is 4 MiB in f32 and 8 MiB in f64, more than a 2 MiB per-core L2. Every
 # size gives the same bits, and 2^20 is kept because smaller slices measured no
@@ -89,7 +92,12 @@ def _check_dims(a: np.ndarray, op: str) -> None:
 
 
 def _finite(a: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(a).all():
+    """a, or NonFiniteError if it holds NaN or +-inf. A sum of squares is NaN or inf when
+    any entry is, so one BLAS dot clears finite arrays; only a dot that is not finite,
+    which finite entries give when it overflows (silently, in its stage's errstate),
+    leads to the full scan. ravel(order="K") is a view of a C- or F-ordered array."""
+    r = a.ravel(order="K")
+    if not (math.isfinite(np.dot(r, r)) or np.isfinite(a).all()):
         raise NonFiniteError(f"{op} produced non-finite values")
     return a
 
@@ -102,13 +110,16 @@ def _rank2(a: np.ndarray, op: str) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b through numpy's BLAS; the product is left for its stage to check."""
-    _rank2(a, "matmul")
-    _rank2(b, "matmul")
-    if a.dtype != b.dtype:
-        raise DimensionError(f"matmul: mixed dtypes {a.dtype} vs {b.dtype}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
+    """a @ b through numpy's BLAS; the product is left for its stage to check. The
+    checks that name a fault run only when the one test of the accepted case fails."""
+    if not (a.ndim == b.ndim == 2 and a.dtype == b.dtype and a.dtype in _ALLOWED
+            and a.shape[1] == b.shape[0] and a.size and b.size):
+        _rank2(a, "matmul")
+        _rank2(b, "matmul")
+        if a.dtype != b.dtype:
+            raise DimensionError(f"matmul: mixed dtypes {a.dtype} vs {b.dtype}")
+        if a.shape[1] != b.shape[0]:
+            raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
     return np.matmul(a, b)
 
 
@@ -171,7 +182,7 @@ def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarr
     """
     _rank2(a, "softmax")
     out = _out_like(a, out, "softmax")
-    tiny = float(np.finfo(a.dtype).tiny)
+    tiny = _TINY[a.dtype]
     for part in _slices(a.shape, axis):
         src, dst = a[part], out[part]
         peaks = src.max(axis=axis, keepdims=True)

@@ -337,13 +337,15 @@ def _bad_inputs(tmp_path):
     files["f32-overflow-data"] = tmp_path / "f32-overflow-data.json"   # finite, beyond f32
     files["f32-overflow-data"].write_text(json.dumps({"shape": [1, 1, 1], "data": [1e39],
                                                       "dtype": "f32"}))
+    files["f64-overflow-data"] = tmp_path / "f64-overflow-data.json"   # finite, beyond f64
+    files["f64-overflow-data"].write_text('{"shape": [1, 1, 1], "data": [1e309], "dtype": "f64"}')
     return files
 
 
 @pytest.mark.parametrize("case", ["huge-dims", "nan", "strings", "negative-dims",
                                   "string-shape", "float-shape", "bool-shape", "bool-data",
                                   "mixed-bool-data", "numeric-string-data", "huge-int-data",
-                                  "f32-overflow-data"])
+                                  "f32-overflow-data", "f64-overflow-data"])
 def test_attn_bad_input_exits_2(tmp_path, case):
     src = _bad_inputs(tmp_path)[case]
     out = run_cli("attn", "--input", str(src), "--module", "spa", "--spec-k", "1",
@@ -352,8 +354,8 @@ def test_attn_bad_input_exits_2(tmp_path, case):
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and str(src) in out.stderr
     assert "Traceback" not in out.stderr
-    if case == "f32-overflow-data":
-        assert out.stderr.count("\n") == 1 and "overflows f32" in out.stderr
+    if case.endswith("-overflow-data"):
+        assert out.stderr.count("\n") == 1 and f"overflows {case[:3]}" in out.stderr
 
 
 def _attn_on_bytes(tmp_dir, raw: bytes) -> tuple[int, str]:

@@ -161,6 +161,20 @@ def test_json_tensor_shape_mismatch(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("text, message", [("1e309", "overflows f64"),
+                                           ("-1e309", "overflows f64"),
+                                           ("Infinity", "holds NaN or Inf"),
+                                           ("NaN", "holds NaN or Inf")])
+def test_json_tensor_overflow_is_not_reported_as_inf(tmp_path, text, message):
+    # A finite decimal beyond f64's range is a value the reader cannot hold; the literals
+    # Infinity and NaN are values it refuses.
+    path = tmp_path / "t.json"
+    for dtype in ("f64", "f32"):
+        path.write_text(f'{{"shape": [2], "data": [1.5, {text}], "dtype": "{dtype}"}}')
+        with pytest.raises(DptFormatError, match=message):
+            read_tensor(path)
+
+
 def test_read_tensor_dispatches_on_magic(tmp_path):
     path = tmp_path / "t.dpt"
     arr = Rng(6).fill_uniform((3, 3), 1.0)

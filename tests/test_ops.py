@@ -16,6 +16,36 @@ from oracles import (loop_adaptive_pool, loop_conv2d_same, loop_conv2d_same_back
                      loop_matmul, loop_softmax_rows, unflushed_softmax, whole_softmax_backward)
 
 
+# --- _finite --------------------------------------------------------------
+
+# Finite entries; the square of +-1e20 in f32, +-1e200 in f64 and the largest overflows,
+# so an array holding one gives an inf dot of squares and only the full scan clears it.
+_FINITE_ENTRIES = {np.float32: [0.0, -1.5, 1e-40, 1e20, -1e20, 3e38],
+                   np.float64: [0.0, -1.5, 5e-324, 1e200, -1e200, 1.7e308]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.sampled_from(["C", "T", "sliced"]),
+       st.integers(1, 6), st.integers(1, 6), st.data())
+def test_finite_raises_exactly_when_an_entry_is_nan_or_inf(dtype, layout, m, n, data):
+    size = 2 * m * n
+    base = np.array(data.draw(st.lists(st.sampled_from(_FINITE_ENTRIES[dtype]),
+                                       min_size=size, max_size=size)), dtype)
+    for i, bad in data.draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                               st.sampled_from([np.nan, np.inf, -np.inf])),
+                                     max_size=2)):
+        base[i] = bad
+    a = {"C": base[:m * n].reshape(m, n),
+         "T": base[:m * n].reshape(n, m).T,
+         "sliced": base.reshape(m, 2 * n)[:, ::2]}[layout]     # odd columns hidden
+    with np.errstate(all="ignore"):                            # as inside a stage
+        if np.isfinite(a).all():
+            assert ops._finite(a, "probe") is a
+        else:
+            with pytest.raises(NonFiniteError, match="probe produced non-finite values"):
+                ops._finite(a, "probe")
+
+
 # --- matmul ---------------------------------------------------------------
 
 def test_matmul_identity_bitwise():
@@ -39,6 +69,31 @@ def test_matmul_rejects_zero_dim():
 def test_matmul_mismatch_names_both_shapes():
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
         ops.matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+
+_F64, _F32 = np.ones((2, 3)), np.ones((3, 2), np.float32)
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (np.ones(3), np.ones((3, 2)), "expected rank-2, got shape (3,)"),
+    (_F64, np.ones((3, 2, 2)), "expected rank-2, got shape (3, 2, 2)"),
+    (np.ones((2, 3), np.int64), np.ones((3, 2)), "dtype int64 is not float32/float64"),
+    (_F64, np.ones((3, 2), np.int32), "dtype int32 is not float32/float64"),
+    (_F64, _F32, "mixed dtypes float64 vs float32"),
+    (_F64, np.ones((2, 3)), "inner dims differ, (2, 3) x (2, 3)"),
+    (np.ones((0, 3)), np.ones((3, 2)), "every dim must be >= 1, got shape (0, 3)"),
+    (np.ones((2, 0)), np.ones((0, 2)), "every dim must be >= 1, got shape (2, 0)"),
+    (_F64, np.ones((3, 0)), "every dim must be >= 1, got shape (3, 0)"),
+    # Byte order is part of the dtype: a big-endian operand is refused, one or both.
+    (np.ones((2, 3), ">f8"), np.ones((3, 2)), "dtype >f8 is not float32/float64"),
+    (np.ones((2, 3), ">f8"), np.ones((3, 2), ">f8"), "dtype >f8 is not float32/float64"),
+])
+def test_matmul_names_each_bad_operand(a, b, message):
+    # The accepted case is tested in one condition; every other operand still gets the
+    # message its own check gives.
+    with pytest.raises(DimensionError) as err:
+        ops.matmul(a, b)
+    assert str(err.value) == f"matmul: {message}"
 
 
 def test_matmul_matches_index_ascending_oracle():
