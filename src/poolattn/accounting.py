@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ComparisonError
 from .ops import dtype_name
-from .pooling import PyramidSpec, anchor_count
+from .pooling import PyramidSpec, shared_anchor_count
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,9 @@ def cost_spa(c: int, chat: int, h: int, w: int, k_spec: PyramidSpec, v_spec: Pyr
     Pure arithmetic: shapes too small for the pyramids are allowed here so
     degenerate ratios can still be reported (the forward pass itself rejects them).
     """
-    if anchor_count(k_spec) != anchor_count(v_spec):
-        raise ComparisonError(f"anchor counts differ: {k_spec.sizes} gives "
-                              f"{anchor_count(k_spec)}, {v_spec.sizes} gives "
-                              f"{anchor_count(v_spec)}")
+    t = shared_anchor_count(k_spec, v_spec)
     flops_pool = h * w * c * sum(len(spec.sizes) for spec in {k_spec, v_spec})
-    return _attention_cost(c, chat, h, w, anchor_count(k_spec), flops_pool, dtype)
+    return _attention_cost(c, chat, h, w, t, flops_pool, dtype)
 
 
 def cost_cpa(c: int, h: int, w: int, with_proj: bool, dtype=np.float32) -> CostReport:

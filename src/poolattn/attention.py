@@ -59,7 +59,7 @@ import numpy as np
 from . import instrument, ops
 from .errors import ConfigurationError, DimensionError
 from .ops import _check_dims, _finite, _quiet
-from .pooling import PyramidSpec, anchor_count, pyramid_pool, pyramid_pool_backward
+from .pooling import PyramidSpec, pyramid_pool, pyramid_pool_backward, shared_anchor_count
 from .rng import Rng
 
 
@@ -72,18 +72,18 @@ class ProjectionWeights:
     w_v: np.ndarray
 
     def __post_init__(self):
-        if self.w_q.ndim != 2 or self.w_k.ndim != 2 or self.w_v.ndim != 2:
-            raise DimensionError("projection weights must be rank-2 matrices")
+        dtypes = {self.w_q.dtype, self.w_k.dtype, self.w_v.dtype}
+        if len(dtypes) != 1 or self.w_q.dtype not in ops._ALLOWED:
+            raise DimensionError(f"projection weights must share one dtype, float32 or float64, "
+                                 f"got {self.w_q.dtype}, {self.w_k.dtype}, {self.w_v.dtype}")
+        for w in (self.w_q, self.w_k, self.w_v):
+            _check_dims(w, "projection weights", 2)
         if self.w_q.shape != self.w_k.shape:
             raise DimensionError(f"w_q {self.w_q.shape} and w_k {self.w_k.shape} must match")
         c = self.w_q.shape[1]
         if self.w_v.shape != (c, c):
             raise DimensionError(f"w_v must be {c}x{c} to preserve channels for the residual, "
                                  f"got {self.w_v.shape}")
-        dtypes = {self.w_q.dtype, self.w_k.dtype, self.w_v.dtype}
-        if len(dtypes) != 1 or self.w_q.dtype not in ops._ALLOWED:
-            raise DimensionError(f"projection weights must share one dtype, float32 or float64, "
-                                 f"got {self.w_q.dtype}, {self.w_k.dtype}, {self.w_v.dtype}")
 
     @property
     def channels(self) -> int:
@@ -140,11 +140,7 @@ class SpaModule:
     lam: np.ndarray | float = 0.0
 
     def __post_init__(self):
-        if anchor_count(self.k_spec) != anchor_count(self.v_spec):
-            raise ConfigurationError(
-                f"key/value pyramids must agree on anchor count: "
-                f"{self.k_spec.sizes} gives {anchor_count(self.k_spec)}, "
-                f"{self.v_spec.sizes} gives {anchor_count(self.v_spec)}")
+        shared_anchor_count(self.k_spec, self.v_spec)
         object.__setattr__(self, "mode", SpaMode(self.mode))
         object.__setattr__(self, "lam", np.array(self.lam, dtype=np.float64))
 
@@ -194,9 +190,7 @@ class CpaModule:
 
 
 def _flatten(x: np.ndarray, proj: ProjectionWeights | None) -> tuple[np.ndarray, int, int, int]:
-    if x.ndim != 3:
-        raise DimensionError(f"attention input must be CxHxW, got shape {x.shape}")
-    _check_dims(x, "attention input")
+    _check_dims(x, "attention input", 3)
     c, h, w = x.shape
     if proj is not None and (proj.channels, proj.w_q.dtype) != (c, x.dtype):
         raise DimensionError(f"projection expects {proj.channels} channels of "

@@ -24,15 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DptFormatError
-from .ops import DTYPES
+from .ops import _ALLOWED, DTYPES     # _ALLOWED is indexed by the dtype code
 
 MAGIC = b"DPTENSOR"
 VERSION = 1
-_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))     # indexed by the dtype code
 
 
 def _check_shape(path: str | Path, shape) -> tuple[int, ...]:
-    """The shape rule of DPT files and JSON tensors, and of `ops`: 1..4 integers >= 1."""
+    """The shape rule of DPT files and JSON tensors: rank 1..4, the format's own bound,
+    and every dim an integer >= 1, as `ops` requires."""
     if not isinstance(shape, (list, tuple)) or not all(type(d) is int and d >= 1 for d in shape):
         raise DptFormatError(f"{path}: shape must be a list of integers >= 1, got {shape!r}")
     if not 1 <= len(shape) <= 4:
@@ -43,9 +43,9 @@ def _check_shape(path: str | Path, shape) -> tuple[int, ...]:
 def write_dpt(path: str | Path, arr: np.ndarray) -> None:
     _check_shape(path, np.shape(arr))       # before ascontiguousarray makes 0-d arrays 1-d
     arr = np.ascontiguousarray(arr)
-    if arr.dtype not in _DTYPES:
+    if arr.dtype not in _ALLOWED:
         raise DptFormatError(f"DPT stores float32/float64 only, got {arr.dtype}")
-    header = MAGIC + struct.pack("<BBB", VERSION, _DTYPES.index(arr.dtype), arr.ndim)
+    header = MAGIC + struct.pack("<BBB", VERSION, _ALLOWED.index(arr.dtype), arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     with open(path, "wb") as f:       # the payload goes from the array's own buffer
         f.write(header)
@@ -64,13 +64,13 @@ def _parse_dpt(path: str | Path, raw: bytes) -> np.ndarray:
     version, code, rank = struct.unpack("<BBB", raw[8:11])
     if version != VERSION:
         raise DptFormatError(f"{path}: unsupported version {version}")
-    if code >= len(_DTYPES):
+    if code >= len(_ALLOWED):
         raise DptFormatError(f"{path}: unknown dtype code {code}")
     dims_end = 11 + 4 * rank
     if len(raw) < dims_end:
         raise DptFormatError(f"{path}: truncated dims block")
     dims = _check_shape(path, struct.unpack(f"<{rank}I", raw[11:dims_end]))
-    dtype = _DTYPES[code]
+    dtype = _ALLOWED[code]
     expected = math.prod(dims) * dtype.itemsize
     if len(raw) - dims_end != expected:
         raise DptFormatError(f"{path}: payload length mismatch, expected {expected} bytes, "

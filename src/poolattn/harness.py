@@ -21,7 +21,7 @@ from . import accounting, dpt, gradcheck, network
 from .attention import (CpaMode, CpaModule, SpaMode, SpaModule, cpa_forward,
                         init_projection, nonlocal_forward, spa_forward)
 from .errors import ConfigurationError, ResourceLimitError
-from .ops import resolve_dtype
+from .ops import _check_dims, resolve_dtype
 from .pooling import TOY_EVEN_MATCHED, TOY_ODD_MATCHED, PyramidSpec, anchor_count, \
     boundary_histogram, interior_offsets, parse_spec, spec_name
 from .rng import Rng
@@ -248,8 +248,7 @@ def attn_report(input_path: str, module_kind: str, out_tensor: str, out_attn: st
     """Run one module on a tensor file; `mem_limit` bounds its attention map in bytes,
     checked after the input is read and before the forward runs."""
     x = dpt.read_tensor(input_path)
-    if x.ndim != 3:
-        raise ConfigurationError(f"attn expects a CxHxW tensor, got shape {x.shape}")
+    _check_dims(x, "attn", 3)
     c, h, w = x.shape
     rng = Rng(seed)
     dtype = x.dtype

@@ -1,8 +1,9 @@
 """Dense numeric primitives on row-major float32/float64 numpy arrays.
 
-Arrays are the universal value carrier: rank 1-4, every dim >= 1. Operations
-are pure, with two kinds of exception: sgd_step updates its parameter arrays
-in place and demands exclusive access to them, and softmax and
+Arrays are the universal value carrier. One operand rule, `_check_dims`, holds at
+every entry point: float32 or float64, the rank the operation names, every dim >= 1.
+Operations are pure, with two kinds of exception: sgd_step updates its parameter
+arrays in place and demands exclusive access to them, and softmax and
 softmax_backward write into `out` when given one, which may be their input,
 so an attention map is held once.
 
@@ -82,11 +83,13 @@ def dtype_name(dtype) -> str:
     raise ConfigurationError(f"dtype {dtype} is not float32/float64")
 
 
-def _check_dims(a: np.ndarray, op: str) -> None:
+def _check_dims(a: np.ndarray, op: str, rank: int) -> None:
+    """The operand rule: float32 or float64, rank `rank`, every dim >= 1. The first
+    fault, in that order, raises DimensionError starting with `op`."""
     if a.dtype not in _ALLOWED:
         raise DimensionError(f"{op}: dtype {a.dtype} is not float32/float64")
-    if not 1 <= a.ndim <= 4:
-        raise DimensionError(f"{op}: rank {a.ndim} outside 1..4 (shape {a.shape})")
+    if a.ndim != rank:
+        raise DimensionError(f"{op}: expected rank-{rank}, got shape {a.shape}")
     if 0 in a.shape:
         raise DimensionError(f"{op}: every dim must be >= 1, got shape {a.shape}")
 
@@ -102,20 +105,13 @@ def _finite(a: np.ndarray, op: str) -> np.ndarray:
     return a
 
 
-def _rank2(a: np.ndarray, op: str) -> None:
-    """A rank-2 float32/float64 operand, every dim >= 1; _check_dims names the fault."""
-    if a.ndim != 2 or 0 in a.shape or a.dtype not in _ALLOWED:
-        _check_dims(a, op)
-        raise DimensionError(f"{op}: expected rank-2, got shape {a.shape}")
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b through numpy's BLAS; the product is left for its stage to check. The
     checks that name a fault run only when the one test of the accepted case fails."""
     if not (a.ndim == b.ndim == 2 and a.dtype == b.dtype and a.dtype in _ALLOWED
             and a.shape[1] == b.shape[0] and a.size and b.size):
-        _rank2(a, "matmul")
-        _rank2(b, "matmul")
+        _check_dims(a, "matmul", 2)
+        _check_dims(b, "matmul", 2)
         if a.dtype != b.dtype:
             raise DimensionError(f"matmul: mixed dtypes {a.dtype} vs {b.dtype}")
         if a.shape[1] != b.shape[0]:
@@ -180,7 +176,7 @@ def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarr
     be `a` itself. A non-finite input raises when its slice is reached, so
     earlier slices of `out` may already hold weights.
     """
-    _rank2(a, "softmax")
+    _check_dims(a, "softmax", 2)
     out = _out_like(a, out, "softmax")
     tiny = _TINY[a.dtype]
     for part in _slices(a.shape, axis):
@@ -268,11 +264,8 @@ def _conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stride-1 zero-padded convolution preserving spatial size; kernel must be odd."""
-    _check_dims(x, "conv2d_same")
-    _check_dims(w, "conv2d_same weights")
-    if x.ndim != 3 or w.ndim != 4:
-        raise DimensionError(f"conv2d_same: need CxHxW input and OxCxkxk weights, "
-                             f"got {x.shape} and {w.shape}")
+    _check_dims(x, "conv2d_same", 3)
+    _check_dims(w, "conv2d_same weights", 4)
     c_out, c_in, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ConfigurationError(f"conv2d_same: kernel must be square and odd, got {k}x{k2}")
@@ -295,9 +288,7 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray,
 @_quiet
 def cross_entropy_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean per-pixel negative log softmax probability and its analytic gradient."""
-    _check_dims(logits, "cross_entropy_logits")
-    if logits.ndim != 3:
-        raise DimensionError(f"cross_entropy_logits: logits must be KxHxW, got {logits.shape}")
+    _check_dims(logits, "cross_entropy_logits", 3)
     k, h, w = logits.shape
     lab = np.asarray(labels)
     if lab.shape != (h, w):

@@ -89,6 +89,16 @@ def anchor_count(spec: PyramidSpec) -> int:
     return sum(n * n for n in spec.sizes)
 
 
+def shared_anchor_count(k_spec: PyramidSpec, v_spec: PyramidSpec) -> int:
+    """The T that a key pyramid and a value pyramid must share; ConfigurationError if
+    they differ."""
+    t_k, t_v = anchor_count(k_spec), anchor_count(v_spec)
+    if t_k != t_v:
+        raise ConfigurationError(f"key/value pyramids must agree on anchor count: "
+                                 f"{k_spec.sizes} gives {t_k}, {v_spec.sizes} gives {t_v}")
+    return t_k
+
+
 def bin_edges(extent: int, n: int) -> list[int]:
     """The n + 1 edges of one pool level: bin i spans [floor(i*E/n), floor((i+1)*E/n)).
 
@@ -167,9 +177,7 @@ def pyramid_pool(x: np.ndarray, spec: PyramidSpec) -> np.ndarray:
     are in range by construction, so the takes skip numpy's bounds check
     (mode="clip": the same values, faster).
     """
-    _check_dims(x, "pyramid_pool")
-    if x.ndim != 3:
-        raise DimensionError(f"pyramid_pool: input must be CxHxW, got shape {x.shape}")
+    _check_dims(x, "pyramid_pool", 3)
     c, h, w = x.shape
     plan = _pool_plan(spec.sizes, h, w)
     xf = x.reshape(c, h * w)
@@ -196,9 +204,7 @@ def pyramid_pool_backward(grad: np.ndarray, spec: PyramidSpec, height: int,
     order; the sum is the same, bit for bit, as that loop's. The areas and bin sizes
     come from the plan `pyramid_pool` reads.
     """
-    _check_dims(grad, "pyramid_pool_backward")
-    if grad.ndim != 2:
-        raise DimensionError(f"pyramid_pool_backward: grad must be CxT, got shape {grad.shape}")
+    _check_dims(grad, "pyramid_pool_backward", 2)
     c, t = grad.shape
     if t != anchor_count(spec):
         raise DimensionError(f"pyramid_pool_backward: grad has {t} anchors, "

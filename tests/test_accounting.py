@@ -92,6 +92,14 @@ def test_reduction_ratio_is_exactly_n_over_t(c, chat, h, w, spec, dtype):
     assert reduction_ratio(nb, spa) == h * w / anchor_count(spec)
 
 
+def test_cost_spa_refuses_unpaired_pyramids():
+    # The rule SpaModule holds to, with its error: (1,2) gives 5 anchors, (1,3) 10.
+    message = "key/value pyramids must agree on anchor count: (1, 2) gives 5, (1, 3) gives 10"
+    with pytest.raises(ConfigurationError) as err:
+        cost_spa(4, 4, 8, 8, PyramidSpec((1, 2)), PyramidSpec((1, 3)))
+    assert str(err.value) == message
+
+
 def test_reduction_ratio_shape_mismatch():
     nb = cost_nonlocal(8, 8, 4, 4)
     spa = cost_spa(8, 8, 6, 6, PyramidSpec((1, 2)), PyramidSpec((1, 2)))

@@ -678,6 +678,10 @@ def test_projection_weight_validation():
         with pytest.raises(DimensionError, match="share one dtype, float32 or float64"):
             ProjectionWeights(np.ones((2, 3), w_q), np.ones((2, 3), w_kv),
                               np.ones((3, 3), w_kv))
+    # An empty matrix is refused when the weights are built, not at the first forward.
+    with pytest.raises(DimensionError) as err:
+        ProjectionWeights(np.ones((0, 2)), np.ones((0, 2)), np.ones((2, 2)))
+    assert str(err.value) == "projection weights: every dim must be >= 1, got shape (0, 2)"
 
 
 @pytest.mark.parametrize("forward", [

@@ -91,6 +91,14 @@ def test_unknown_spec_exits_2():
     assert "bogus-name" in out.stderr
 
 
+def test_flops_unpaired_pyramids_exit_2():
+    out = run_cli("flops", "--hw", "8", "--spec-k", "1,2", "--spec-v", "1,3")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("error: key/value pyramids must agree on anchor count: "
+                          "(1, 2) gives 5, (1, 3) gives 10\n")
+
+
 def test_bench_small_shape(tmp_path):
     out_file = tmp_path / "bench.json"
     out = run_cli("bench", "--hw", "16", "--c", "8", "--chat", "4",
@@ -290,6 +298,16 @@ def test_attn_truncated_input_exits_2(tmp_path):
                   "--out-attn", str(tmp_path / "a.dpt"))
     assert out.returncode == 2
     assert "payload length mismatch" in out.stderr
+
+
+def test_attn_input_of_another_rank_exits_2(tmp_path):
+    src = tmp_path / "in.dpt"
+    write_dpt(src, np.ones((2, 3)))
+    out = run_cli("attn", "--input", str(src), "--module", "cpa",
+                  "--out-tensor", str(tmp_path / "o.dpt"),
+                  "--out-attn", str(tmp_path / "a.dpt"))
+    assert out.returncode == 2
+    assert out.stderr == "error: attn: expected rank-3, got shape (2, 3)\n"
 
 
 @pytest.mark.parametrize("module,args,nbytes", [

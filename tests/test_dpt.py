@@ -81,7 +81,7 @@ def test_rejects_unsupported_rank_and_dtype(tmp_path):
     with pytest.raises(DptFormatError, match=re.escape(f"{never}: shape must be")):
         write_dpt(never, np.ones((2, 0)))
     assert not never.exists()
-    # The JSON form holds to the same ranks as DPT files and `ops`.
+    # The JSON form holds to the same ranks as DPT files.
     path = tmp_path / "t.json"
     for shape, data in (([], [3]), ([1, 1, 1, 1, 2], [1, 2])):
         path.write_text(json.dumps({"shape": shape, "data": data}))
@@ -110,11 +110,14 @@ def _rule_cases(dtype):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from([np.float32, np.float64, np.int32]).flatmap(_rule_cases))
 def test_writer_and_readers_hold_to_the_ops_rule(tmp_path_factory, arr):
-    # `write_dpt` takes exactly the arrays `ops` takes, `read_dpt` returns each bit for
-    # bit, and the JSON form takes exactly the shapes `ops` takes.
+    # `write_dpt` takes exactly the arrays of rank 1..4, DPT's own bound, that the `ops`
+    # operand rule takes, `read_dpt` returns each bit for bit, and the JSON form takes
+    # exactly the same shapes.
     def accepted(a):
+        if not 1 <= a.ndim <= 4:
+            return False
         try:
-            ops._check_dims(a, "rule")
+            ops._check_dims(a, "rule", a.ndim)
         except DimensionError:
             return False
         return True

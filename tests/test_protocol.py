@@ -199,10 +199,10 @@ def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
 
 
 @pytest.mark.parametrize("label, case, call, counts", [
-    ("spa_forward", "spa-onlyodd-c4-6x6", "forward", (2, 2, 6)),
-    ("spa_backward", "spa-onlyodd-c4-6x6", "backward", (4, 3, 12)),
-    ("cpa_forward", "cpa-subtract-plain-c4-5x5", "forward", (1, 1, 3)),
-    ("network.forward", "network-16ch-8x8", "forward", (4, 7, 12)),
+    ("spa_forward", "spa-onlyodd-c4-6x6", "forward", (2, 6, 6)),
+    ("spa_backward", "spa-onlyodd-c4-6x6", "backward", (4, 7, 12)),
+    ("cpa_forward", "cpa-subtract-plain-c4-5x5", "forward", (1, 2, 3)),
+    ("network.forward", "network-16ch-8x8", "forward", (4, 12, 12)),
 ])
 def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, call, counts):
     """(np.errstate entries, _check_dims calls, _finite calls) for one call at a manifest shape.
@@ -214,6 +214,13 @@ def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, c
     it pooled projected keys and values apart). softmax checks its input's two extremes
     without `_finite`, and the fuse layer is one `matmul` (2/2/7, 4/3/13, 1/1/4 and
     4/8/14 while softmax checked them through `_finite` and `conv1x1` checked its input).
+
+    Every entry point checks its operands through `_check_dims`: the projections when
+    a case builds them (3), each attention input (1), pooled input (1) and softmax map
+    (1), each pool backward (1) and both operands of each conv (2). So SPA's forward
+    reads 3+1+1+1, its backward that and 1, CPA's 1+1 and the network's 3+4+3+2 (the
+    middle column read 2, 3, 1 and 7 while softmax and the projections tested their
+    operands apart from `_check_dims`).
     """
     seen = Counter()
 
@@ -238,6 +245,41 @@ def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, c
     grad = Rng(1).fill_uniform(out_shape, 1.0)
     forward() if call == "forward" else backward(grad)
     assert (seen["errstate"], seen["_check_dims"], seen["_finite"]) == counts, label
+
+
+_PROJ = init_projection(Rng(3), 2)
+_SPEC = PyramidSpec((1, 2))
+
+
+@pytest.mark.parametrize("op, shape, call", [
+    ("softmax", (3, 4), lambda a: ops.softmax(a, axis=1)),
+    ("pyramid_pool", (2, 4, 4), lambda a: pooling.pyramid_pool(a, _SPEC)),
+    ("pyramid_pool_backward", (2, 5),
+     lambda a: pooling.pyramid_pool_backward(a, _SPEC, 4, 4)),
+    ("attention input", (2, 4, 4),
+     lambda a: spa_forward(a, spa_module(_PROJ, SpaMode.ONLY_ODD, odd_spec=_SPEC))),
+    ("attention input", (2, 4, 4), lambda a: cpa_forward(a, CpaModule(_PROJ, CpaMode.SUBTRACT))),
+    ("attention input", (2, 4, 4), lambda a: nonlocal_forward(a, _PROJ, 0.5)),
+    ("conv2d_same", (2, 4, 4), lambda a: ops.conv2d_same(a, np.ones((3, 2, 3, 3)))),
+    ("conv2d_same weights", (3, 2, 3, 3), lambda a: ops.conv2d_same(np.ones((2, 4, 4)), a)),
+    ("cross_entropy_logits", (2, 4, 4),
+     lambda a: ops.cross_entropy_logits(a, np.zeros((4, 4), np.int64))),
+], ids=["softmax", "pyramid_pool", "pyramid_pool_backward", "spa_forward", "cpa_forward",
+        "nonlocal_forward", "conv2d_same", "conv2d_same-weights", "cross_entropy_logits"])
+@pytest.mark.parametrize("fault", ["rank", "zero-dim", "int64"])
+def test_every_entry_point_states_its_rank_in_the_one_operand_rule(op, shape, call, fault):
+    # One operand rule, `ops._check_dims`: float32 or float64, the entry point's rank,
+    # every dim >= 1. Each fault names the entry point's operand and the fault.
+    call(np.ones(shape))
+    bad, message = {
+        "rank": (np.ones(shape + (1,)), f"expected rank-{len(shape)}, got shape {shape + (1,)}"),
+        "zero-dim": (np.ones((0, *shape[1:])),
+                     f"every dim must be >= 1, got shape {(0, *shape[1:])}"),
+        "int64": (np.ones(shape, np.int64), "dtype int64 is not float32/float64"),
+    }[fault]
+    with pytest.raises(DimensionError) as err:
+        call(bad)
+    assert str(err.value) == f"{op}: {message}"
 
 
 def _backward(name, rng, x, g, g_net, proj):
