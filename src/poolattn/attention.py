@@ -58,7 +58,7 @@ import numpy as np
 
 from . import instrument, ops
 from .errors import ConfigurationError, DimensionError
-from .ops import _check_dims, _finite, _quiet
+from .ops import _check_dims, _check_like, _finite, _quiet
 from .pooling import PyramidSpec, pyramid_pool, pyramid_pool_backward, shared_anchor_count
 from .rng import Rng
 
@@ -76,14 +76,10 @@ class ProjectionWeights:
         if len(dtypes) != 1 or self.w_q.dtype not in ops._ALLOWED:
             raise DimensionError(f"projection weights must share one dtype, float32 or float64, "
                                  f"got {self.w_q.dtype}, {self.w_k.dtype}, {self.w_v.dtype}")
-        for w in (self.w_q, self.w_k, self.w_v):
-            _check_dims(w, "projection weights", 2)
-        if self.w_q.shape != self.w_k.shape:
-            raise DimensionError(f"w_q {self.w_q.shape} and w_k {self.w_k.shape} must match")
-        c = self.w_q.shape[1]
-        if self.w_v.shape != (c, c):
-            raise DimensionError(f"w_v must be {c}x{c} to preserve channels for the residual, "
-                                 f"got {self.w_v.shape}")
+        _check_dims(self.w_q, "projection weights", 2)
+        _check_like(self.w_k, self.w_q.shape, self.w_q.dtype, "projection weights: w_k")
+        # w_v is C x C, so the output keeps the channels the residual adds to.
+        _check_like(self.w_v, (self.channels,) * 2, self.w_q.dtype, "projection weights: w_v")
 
     @property
     def channels(self) -> int:
@@ -218,9 +214,7 @@ def _gate_forward(agg: np.ndarray, gate: np.ndarray | float, xf: np.ndarray, nam
 def _upstream(grad_out: np.ndarray, shape: tuple[int, ...], dtype: np.dtype,
               name: str) -> np.ndarray:
     """grad_out as a channels x positions matrix, once its shape and dtype are the output's."""
-    if grad_out.shape != shape or grad_out.dtype != dtype:
-        raise DimensionError(f"{name} backward: grad_out is {grad_out.dtype} {grad_out.shape}, "
-                             f"the output {dtype} {shape}")
+    _check_like(grad_out, shape, dtype, f"{name} backward: grad_out")
     return grad_out.reshape(shape[0], -1)
 
 
@@ -249,7 +243,7 @@ def nonlocal_stages(x: np.ndarray, proj: ProjectionWeights, lam: np.ndarray | fl
     gamma = _project(proj.w_v, xf, "nonlocal")
     logits = ops.matmul(alpha.T, beta)                  # N x N, row j = position j's queries
     instrument.add("map", 2 * proj.reduced * logits.size)
-    attn = ops.softmax(logits, axis=1, out=logits)      # the map is held once
+    attn = ops.softmax(logits, axis=1, in_place=True)   # the map is held once
     agg = ops.matmul(attn, gamma.T).T                   # C x N, a view of the N x C product
     instrument.add("agg", 2 * c * attn.size)
     out = _gate_forward(agg, lam, xf, "nonlocal").reshape(c, h, w)
@@ -263,7 +257,7 @@ def nonlocal_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarra
     d_lam, d_agg = _gate_backward(g, agg, lam)
     d_attn = ops.matmul(d_agg.T, gamma)                  # N x N
     d_gamma = ops.matmul(d_agg, attn)                    # C x N
-    d_logits = ops.softmax_backward(attn, d_attn, axis=1, out=d_attn)
+    d_logits = ops.softmax_backward(attn, d_attn, axis=1, in_place=True)
     d_alpha = ops.matmul(beta, d_logits.T)               # chat x N
     d_beta = ops.matmul(alpha, d_logits)                 # chat x N
     d_x = (g + ops.matmul(proj.w_q.T, d_alpha) + ops.matmul(proj.w_k.T, d_beta)
@@ -301,7 +295,7 @@ def spa_stages(x: np.ndarray, m: SpaModule):
     v_pool = _project(m.proj.w_v, x_v, "spa")            # C x T
     logits = ops.matmul(k_pool.T, q)                     # T x N
     instrument.add("map", 2 * m.proj.reduced * logits.size)
-    attn = ops.softmax(logits, axis=0, out=logits)       # anchor weights sum to 1 per position
+    attn = ops.softmax(logits, axis=0, in_place=True)    # anchor weights sum to 1 per position
     agg = ops.matmul(v_pool, attn)                       # C x N
     instrument.add("agg", 2 * c * attn.size)
     out = _gate_forward(agg, m.lam, xf, "spa").reshape(c, h, w)
@@ -316,7 +310,7 @@ def spa_stages_backward(cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     d_lam, d_agg = _gate_backward(g, agg, m.lam)
     d_vpool = ops.matmul(d_agg, attn.T)                  # C x T
     d_attn = ops.matmul(v_pool.T, d_agg)                 # T x N
-    d_logits = ops.softmax_backward(attn, d_attn, axis=0, out=d_attn)
+    d_logits = ops.softmax_backward(attn, d_attn, axis=0, in_place=True)
     d_kpool = ops.matmul(q, d_logits.T)                  # chat x T
     d_q = ops.matmul(k_pool, d_logits)                   # chat x N
     d_xk = ops.matmul(m.proj.w_k.T, d_kpool)             # C x T

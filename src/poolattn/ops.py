@@ -1,11 +1,11 @@
 """Dense numeric primitives on row-major float32/float64 numpy arrays.
 
-Arrays are the universal value carrier. One operand rule, `_check_dims`, holds at
-every entry point: float32 or float64, the rank the operation names, every dim >= 1.
-Operations are pure, with two kinds of exception: sgd_step updates its parameter
-arrays in place and demands exclusive access to them, and softmax and
-softmax_backward write into `out` when given one, which may be their input,
-so an attention map is held once.
+Arrays are the universal value carrier. An entry point checks each array it takes by
+the operand rule, `_check_dims` (float32 or float64, the rank the operation names,
+every dim >= 1), or by the matching rule, `_check_like` (another operand's shape and
+dtype). Operations are pure, but sgd_step updates its parameter arrays in place and
+demands exclusive access to them, and softmax and softmax_backward write over their
+operand (`in_place=True`) or into a new array, so an attention map is held once.
 
 Finiteness is checked once per stage output, not once per primitive: the
 primitives check their operands, not their results, and enter no np.errstate;
@@ -94,6 +94,12 @@ def _check_dims(a: np.ndarray, op: str, rank: int) -> None:
         raise DimensionError(f"{op}: every dim must be >= 1, got shape {a.shape}")
 
 
+def _check_like(a: np.ndarray, shape: tuple[int, ...], dtype: np.dtype, what: str) -> None:
+    """The matching rule: `a` has exactly `shape` and `dtype`, or DimensionError naming `what`."""
+    if a.shape != shape or a.dtype != dtype:
+        raise DimensionError(f"{what} is {a.dtype} {a.shape}, expected {dtype} {shape}")
+
+
 def _finite(a: np.ndarray, op: str) -> np.ndarray:
     """a, or NonFiniteError if it holds NaN or +-inf. A sum of squares is NaN or inf when
     any entry is, so one BLAS dot clears finite arrays; only a dot that is not finite,
@@ -119,7 +125,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def _slices(shape: tuple[int, int], axis: int):
+def _slices(shape: tuple[int, int], axis: int, op: str):
     """Index pairs cutting a rank-2 map into whole rows (axis=1) or whole columns
     (axis=0), at most _SLICE entries each, in order.
 
@@ -130,7 +136,7 @@ def _slices(shape: tuple[int, int], axis: int):
     two or three lines.
     """
     if axis not in (0, 1):
-        raise DimensionError(f"softmax: axis must be 0 or 1, got {axis}")
+        raise DimensionError(f"{op}: axis must be 0 or 1, got {axis}")
     count, length = shape[1 - axis], shape[axis]
     step = max(2, _SLICE // length)
     whole = slice(None)
@@ -141,16 +147,7 @@ def _slices(shape: tuple[int, int], axis: int):
         start = stop
 
 
-def _out_like(a: np.ndarray, out: np.ndarray | None, op: str) -> np.ndarray:
-    if out is None:
-        return np.empty_like(a)
-    if out.shape != a.shape or out.dtype != a.dtype:
-        raise DimensionError(f"{op}: out {out.shape} {out.dtype} does not match "
-                             f"{a.shape} {a.dtype}")
-    return out
-
-
-def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+def softmax(a: np.ndarray, axis: int, in_place: bool = False) -> np.ndarray:
     """Softmax along `axis` of a rank-2 array, shifted by the max for stability.
 
     Each weight is 0 or lies in [tiny, 1], tiny = np.finfo(dtype).tiny: weights
@@ -172,14 +169,14 @@ def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarr
     of the slice is below tiny, and the flush (a compare and a masked store)
     would change nothing and is skipped; otherwise it runs.
 
-    The weights go to `out`, a new array laid out like `a` by default; `out` may
-    be `a` itself. A non-finite input raises when its slice is reached, so
-    earlier slices of `out` may already hold weights.
+    The weights are written over `a` (`in_place=True`) or into a new array laid out
+    like `a`. A non-finite input raises when its slice is reached, so earlier slices
+    of the result may already hold weights.
     """
     _check_dims(a, "softmax", 2)
-    out = _out_like(a, out, "softmax")
+    out = a if in_place else np.empty_like(a)
     tiny = _TINY[a.dtype]
-    for part in _slices(a.shape, axis):
+    for part in _slices(a.shape, axis, "softmax"):
         src, dst = a[part], out[part]
         peaks = src.max(axis=axis, keepdims=True)
         top, low = float(peaks.max()), float(src.min())
@@ -195,7 +192,7 @@ def softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarr
 
 
 def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     in_place: bool = False) -> np.ndarray:
     """Gradient through softmax along `axis` given its output s and upstream grad:
     s * (grad - sum(grad * s)).
 
@@ -205,17 +202,16 @@ def softmax_backward(s: np.ndarray, grad: np.ndarray, axis: int,
     so they are added in that order, _ROW_BLOCK rows per sum, and no slice-sized
     product is held (one slice is the whole T x N map of a 48 x 48 SPA).
     Elsewhere (axis 1, column-major, a single column) a slice's products are
-    formed whole and summed as numpy sums them. The result goes to `out`, a new array laid out
-    like `grad` by default; `out` may be `grad` itself (not `s`). It is not
-    checked: it flows into the gradients its stage checks.
+    formed whole and summed as numpy sums them. `s` meets the operand rule, `grad` the
+    matching rule against `s`. The result is written over `grad` (`in_place=True`) or
+    into a new array laid out like `grad`; it flows unchecked into its stage's gradients.
     """
-    if s.ndim != 2 or grad.shape != s.shape or grad.dtype != s.dtype:
-        raise DimensionError(f"softmax_backward: grad {grad.shape} {grad.dtype} and output "
-                             f"{s.shape} {s.dtype} must share one rank-2 shape and dtype")
-    out = _out_like(grad, out, "softmax_backward")
+    _check_dims(s, "softmax_backward", 2)
+    _check_like(grad, s.shape, s.dtype, "softmax_backward: grad")
+    out = grad if in_place else np.empty_like(grad)
     by_rows = (axis == 0 and s.shape[1] > 1 and s.flags.c_contiguous
                and grad.flags.c_contiguous)
-    for part in _slices(s.shape, axis):
+    for part in _slices(s.shape, axis, "softmax_backward"):
         src, g, dst = s[part], grad[part], out[part]
         if by_rows:
             inner = _sum_products_by_rows(g, src)
@@ -262,15 +258,20 @@ def _conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(w.reshape(c_out, -1), _im2col(x, k)).reshape(c_out, h, wd)
 
 
+def _check_conv(x: np.ndarray, w: np.ndarray, op: str) -> None:
+    """Both conv directions' operands: rank-3 x, rank-4 w of x's dtype and channels, odd k x k."""
+    _check_dims(x, op, 3)
+    _check_dims(w, f"{op} weights", 4)
+    _, c_in, k, k2 = w.shape
+    if k != k2 or k % 2 == 0:
+        raise ConfigurationError(f"{op}: kernel must be square and odd, got {k}x{k2}")
+    if (c_in, w.dtype) != (x.shape[0], x.dtype):
+        raise DimensionError(f"{op}: weights {w.dtype} {w.shape} vs input {x.dtype} {x.shape}")
+
+
 def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stride-1 zero-padded convolution preserving spatial size; kernel must be odd."""
-    _check_dims(x, "conv2d_same", 3)
-    _check_dims(w, "conv2d_same weights", 4)
-    c_out, c_in, k, k2 = w.shape
-    if k != k2 or k % 2 == 0:
-        raise ConfigurationError(f"conv2d_same: kernel must be square and odd, got {k}x{k2}")
-    if c_in != x.shape[0]:
-        raise DimensionError(f"conv2d_same: channel mismatch, weights {w.shape} vs input {x.shape}")
+    _check_conv(x, w, "conv2d_same")
     return _conv(x, w)
 
 
@@ -279,7 +280,9 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray,
     """Gradients of conv2d_same wrt input and weights, one GEMM each: the weights' against
     the input's columns, the input's a convolution of grad_out with the weights
     flipped in space and transposed in channels."""
+    _check_conv(x, w, "conv2d_same_backward")
     c_out, _, k, _ = w.shape
+    _check_like(grad_out, (c_out, *x.shape[1:]), x.dtype, "conv2d_same_backward: grad_out")
     grad_w = np.matmul(grad_out.reshape(c_out, -1), _im2col(x, k).T).reshape(w.shape)
     flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return _conv(grad_out, flipped), grad_w
@@ -320,8 +323,8 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float,
         raise DimensionError(f"sgd_step: got {len(params)} params, {len(grads)} grads, "
                              f"{len(velocity)} velocities")
     for p, g, v in zip(params, grads, velocity):
-        if not p.shape == g.shape == v.shape:
-            raise DimensionError(f"sgd_step: shape mismatch {p.shape} vs {g.shape} vs {v.shape}")
+        _check_like(g, p.shape, p.dtype, "sgd_step: grad")
+        _check_like(v, p.shape, p.dtype, "sgd_step: velocity")
         v *= momentum
         v += g
         p -= lr * v

@@ -684,6 +684,19 @@ def test_projection_weight_validation():
     assert str(err.value) == "projection weights: every dim must be >= 1, got shape (0, 2)"
 
 
+@pytest.mark.parametrize("name, w_k, w_v, expected", [
+    ("w_k", (3, 3), (3, 3), (2, 3)), ("w_k", (2, 3, 1), (3, 3), (2, 3)),
+    ("w_v", (2, 3), (2, 2), (3, 3)), ("w_v", (2, 3), (3, 2), (3, 3)),
+])
+def test_projection_weights_name_the_mismatched_matrix(name, w_k, w_v, expected):
+    # w_k must be w_q's shape and w_v C x C, so the output keeps the residual's channels.
+    with pytest.raises(DimensionError) as err:
+        ProjectionWeights(np.ones((2, 3)), np.ones(w_k), np.ones(w_v))
+    shape = w_k if name == "w_k" else w_v
+    assert str(err.value) == (f"projection weights: {name} is float64 {shape}, "
+                              f"expected float64 {expected}")
+
+
 @pytest.mark.parametrize("forward", [
     lambda x, proj: nonlocal_forward(x, proj, 0.5),
     lambda x, proj: spa_forward(x, SpaModule(proj, SpaMode.ONLY_ODD, PyramidSpec((1, 3)),

@@ -208,7 +208,8 @@ def _flushed_softmax(a, axis):
 
 
 def _assert_walk_matches_whole_map(a, axis):
-    """softmax and softmax_backward, with and without `out`, bitwise against the whole map."""
+    """softmax and softmax_backward, into a new array and in place, bitwise against the
+    whole map."""
     grad = Rng(21).fill_uniform(a.shape, 1.0, a.dtype)
     if a.flags.f_contiguous:
         grad = np.asfortranarray(grad)
@@ -217,11 +218,11 @@ def _assert_walk_matches_whole_map(a, axis):
     assert np.array_equal(out, ref)
     assert out.flags.f_contiguous == ref.flags.f_contiguous
     in_place = a.copy(order="K")
-    assert ops.softmax(in_place, axis=axis, out=in_place) is in_place
+    assert ops.softmax(in_place, axis=axis, in_place=True) is in_place
     assert np.array_equal(in_place, ref)
     ref_grad = whole_softmax_backward(ref, grad, axis)
     assert np.array_equal(ops.softmax_backward(ref, grad, axis), ref_grad)
-    assert ops.softmax_backward(ref, grad, axis, out=grad) is grad
+    assert ops.softmax_backward(ref, grad, axis, in_place=True) is grad
     assert np.array_equal(grad, ref_grad)
 
 
@@ -276,6 +277,16 @@ def test_softmax_backward_row_blocks_match_the_row_loop_bitwise(rows, dtype):
     assert got.tobytes() == whole_softmax_backward(s, grad, 0).tobytes()
 
 
+@pytest.mark.parametrize("op", ["softmax", "softmax_backward"])
+def test_softmax_pair_names_itself_when_refusing_an_axis(op):
+    s = ops.softmax(np.ones((2, 3)), axis=1)
+    call = {"softmax": lambda: ops.softmax(s, axis=2),
+            "softmax_backward": lambda: ops.softmax_backward(s, np.ones((2, 3)), axis=2)}[op]
+    with pytest.raises(DimensionError) as err:
+        call()
+    assert str(err.value) == f"{op}: axis must be 0 or 1, got 2"
+
+
 def test_softmax_nan_in_the_last_slice_raises():
     a = Rng(23).fill_uniform((2500, 1000), 1.0, np.float32)
     a[-1, -1] = np.nan      # in the last slice of rows and of columns alike
@@ -284,7 +295,7 @@ def test_softmax_nan_in_the_last_slice_raises():
             ops.softmax(a, axis=axis)
         in_place = a.copy()
         with pytest.raises(NonFiniteError, match="softmax input"):
-            ops.softmax(in_place, axis=axis, out=in_place)
+            ops.softmax(in_place, axis=axis, in_place=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -307,12 +318,11 @@ def test_softmax_one_nonfinite_entry_anywhere_raises(dtype, order, axis, m, n, s
     a[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))] = bad
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ops, "_SLICE", slice_entries)
-        for out in (None, np.empty_like(a)):
-            with pytest.raises(NonFiniteError, match="softmax input"):
-                ops.softmax(a, axis=axis, out=out)
+        with pytest.raises(NonFiniteError, match="softmax input"):
+            ops.softmax(a, axis=axis)
         in_place = a.copy(order="K")
         with pytest.raises(NonFiniteError, match="softmax input"):
-            ops.softmax(in_place, axis=axis, out=in_place)
+            ops.softmax(in_place, axis=axis, in_place=True)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -339,7 +349,7 @@ def test_softmax_flush_and_its_skip_at_their_boundaries_match_whole_map_bitwise(
             ref = _flushed_softmax(m, axis)
             assert np.array_equal(ops.softmax(m, axis=axis), ref)
             in_place = m.copy()
-            assert np.array_equal(ops.softmax(in_place, axis=axis, out=in_place), ref)
+            assert np.array_equal(ops.softmax(in_place, axis=axis, in_place=True), ref)
 
 
 # --- convolutions ----------------------------------------------------------
@@ -369,6 +379,22 @@ def test_conv2d_same_single_pixel_center_kernel():
 def test_conv2d_same_even_kernel_rejected():
     with pytest.raises(ConfigurationError):
         ops.conv2d_same(np.ones((1, 4, 4)), np.ones((1, 1, 2, 2)))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_conv_refuses_weights_of_another_dtype_or_an_even_kernel(direction):
+    # Both directions run one operand check: weights of another dtype than the input's
+    # are refused, not upcast, as are weights of other channels and an even kernel.
+    op = "conv2d_same" if direction == "forward" else "conv2d_same_backward"
+    x = np.ones((2, 4, 4))
+    call = {"forward": lambda w: ops.conv2d_same(x, w),
+            "backward": lambda w: ops.conv2d_same_backward(x, w, np.ones((3, 4, 4)))}[direction]
+    for w in (np.ones((3, 2, 3, 3), np.float32), np.ones((3, 1, 3, 3))):
+        with pytest.raises(DimensionError) as err:
+            call(w)
+        assert str(err.value) == f"{op}: weights {w.dtype} {w.shape} vs input float64 (2, 4, 4)"
+    with pytest.raises(ConfigurationError, match=f"^{op}: kernel must be square and odd"):
+        call(np.ones((3, 2, 2, 2)))
 
 
 def test_conv2d_same_backward_matches_finite_difference():
@@ -530,6 +556,15 @@ def test_sgd_two_momentum_steps_hand_case():
 def test_sgd_shape_mismatch():
     with pytest.raises(DimensionError):
         ops.sgd_step([np.zeros(2)], [np.zeros(3)], 0.1, 0.0, [np.zeros(2)])
+
+
+def test_sgd_refuses_a_grad_of_another_dtype():
+    # An f32 gradient for an f64 parameter is refused before any parameter changes.
+    p = np.zeros(2)
+    with pytest.raises(DimensionError) as err:
+        ops.sgd_step([p], [np.ones(2, np.float32)], 0.1, 0.0, [np.zeros(2)])
+    assert str(err.value) == "sgd_step: grad is float32 (2,), expected float64 (2,)"
+    assert np.array_equal(p, [0.0, 0.0])
 
 
 # --- stage checks ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 from collections import Counter
 
@@ -199,10 +200,11 @@ def test_train_step_runs_each_stage_once_per_sample(monkeypatch):
 
 
 @pytest.mark.parametrize("label, case, call, counts", [
-    ("spa_forward", "spa-onlyodd-c4-6x6", "forward", (2, 6, 6)),
-    ("spa_backward", "spa-onlyodd-c4-6x6", "backward", (4, 7, 12)),
+    ("spa_forward", "spa-onlyodd-c4-6x6", "forward", (2, 4, 6)),
+    ("spa_backward", "spa-onlyodd-c4-6x6", "backward", (4, 6, 12)),
     ("cpa_forward", "cpa-subtract-plain-c4-5x5", "forward", (1, 2, 3)),
-    ("network.forward", "network-16ch-8x8", "forward", (4, 12, 12)),
+    ("network.forward", "network-16ch-8x8", "forward", (4, 10, 12)),
+    ("network.backward", "network-16ch-8x8", "backward", (8, 17, 24)),
 ])
 def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, call, counts):
     """(np.errstate entries, _check_dims calls, _finite calls) for one call at a manifest shape.
@@ -215,12 +217,17 @@ def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, c
     without `_finite`, and the fuse layer is one `matmul` (2/2/7, 4/3/13, 1/1/4 and
     4/8/14 while softmax checked them through `_finite` and `conv1x1` checked its input).
 
-    Every entry point checks its operands through `_check_dims`: the projections when
-    a case builds them (3), each attention input (1), pooled input (1) and softmax map
-    (1), each pool backward (1) and both operands of each conv (2). So SPA's forward
-    reads 3+1+1+1, its backward that and 1, CPA's 1+1 and the network's 3+4+3+2 (the
-    middle column read 2, 3, 1 and 7 while softmax and the projections tested their
-    operands apart from `_check_dims`).
+    Every entry point checks its operands through `_check_dims`: the projections'
+    `w_q` when a case builds them (1), each attention input (1), pooled input (1),
+    softmax map and softmax_backward map (1 each), each pool backward (1) and the
+    input and weights of each conv, either direction (2). The arrays matched against
+    another by `_check_like` (`w_k`, `w_v`, each gradient) are not counted. So SPA's
+    forward reads 1+1+1+1, its backward that, 1 and 1, CPA's 1+1, the network's
+    forward 1+4+3+2 and its backward that, 1+1 for SPA, 1 for CPA and 2+2 for the
+    convs. The middle column read 6, 7, 2 and 12 while the projections ran
+    `_check_dims` on all three matrices and softmax_backward tested its map apart
+    from it; 2, 3, 1 and 7 before that, while softmax and the projections tested
+    their operands apart from `_check_dims`.
     """
     seen = Counter()
 
@@ -249,27 +256,62 @@ def test_checks_run_once_per_stage_not_per_primitive(monkeypatch, label, case, c
 
 _PROJ = init_projection(Rng(3), 2)
 _SPEC = PyramidSpec((1, 2))
+_W = np.ones((3, 2, 3, 3))
+
+# One row per array an entry point takes: (the entry point, the operand's name in its
+# errors, the rule that checks it, a good shape, a call on that operand). The operand
+# rule, `ops._check_dims`, states a rank; the matching rule, `ops._check_like`, the
+# shape and dtype of the operand the array pairs with, float64 here.
+_OPERANDS = {
+    "softmax": (ops.softmax, "softmax", "dims", (3, 4), lambda a: ops.softmax(a, axis=1)),
+    "pyramid_pool": (pooling.pyramid_pool, "pyramid_pool", "dims", (2, 4, 4),
+                     lambda a: pooling.pyramid_pool(a, _SPEC)),
+    "pyramid_pool_backward": (pooling.pyramid_pool_backward, "pyramid_pool_backward", "dims",
+                              (2, 5), lambda a: pooling.pyramid_pool_backward(a, _SPEC, 4, 4)),
+    "spa_forward": (spa_forward, "attention input", "dims", (2, 4, 4),
+                    lambda a: spa_forward(a, spa_module(_PROJ, SpaMode.ONLY_ODD,
+                                                        odd_spec=_SPEC))),
+    "cpa_forward": (cpa_forward, "attention input", "dims", (2, 4, 4),
+                    lambda a: cpa_forward(a, CpaModule(_PROJ, CpaMode.SUBTRACT))),
+    "nonlocal_forward": (nonlocal_forward, "attention input", "dims", (2, 4, 4),
+                         lambda a: nonlocal_forward(a, _PROJ, 0.5)),
+    "conv2d_same": (ops.conv2d_same, "conv2d_same", "dims", (2, 4, 4),
+                    lambda a: ops.conv2d_same(a, _W)),
+    "conv2d_same-weights": (ops.conv2d_same, "conv2d_same weights", "dims", (3, 2, 3, 3),
+                            lambda a: ops.conv2d_same(np.ones((2, 4, 4)), a)),
+    "cross_entropy_logits": (ops.cross_entropy_logits, "cross_entropy_logits", "dims",
+                             (2, 4, 4),
+                             lambda a: ops.cross_entropy_logits(a, np.zeros((4, 4), np.int64))),
+    "matmul": (ops.matmul, "matmul", "dims", (3, 4), lambda a: ops.matmul(a, np.ones((4, 2)))),
+    "matmul-right": (ops.matmul, "matmul", "dims", (4, 2),
+                     lambda a: ops.matmul(np.ones((3, 4)), a)),
+    "softmax_backward": (ops.softmax_backward, "softmax_backward", "dims", (3, 4),
+                         lambda a: ops.softmax_backward(a, np.ones((3, 4)), 0)),
+    "softmax_backward-grad": (ops.softmax_backward, "softmax_backward: grad", "like", (3, 4),
+                              lambda a: ops.softmax_backward(np.full((3, 4), 1 / 3), a, 0)),
+    "conv2d_same_backward": (ops.conv2d_same_backward, "conv2d_same_backward", "dims",
+                             (2, 4, 4),
+                             lambda a: ops.conv2d_same_backward(a, _W, np.ones((3, 4, 4)))),
+    "conv2d_same_backward-weights": (
+        ops.conv2d_same_backward, "conv2d_same_backward weights", "dims", (3, 2, 3, 3),
+        lambda a: ops.conv2d_same_backward(np.ones((2, 4, 4)), a, np.ones((3, 4, 4)))),
+    "conv2d_same_backward-grad_out": (
+        ops.conv2d_same_backward, "conv2d_same_backward: grad_out", "like", (3, 4, 4),
+        lambda a: ops.conv2d_same_backward(np.ones((2, 4, 4)), _W, a)),
+    "sgd_step-grad": (ops.sgd_step, "sgd_step: grad", "like", (2,),
+                      lambda a: ops.sgd_step([np.zeros(2)], [a], 0.1, 0.0, [np.zeros(2)])),
+    "sgd_step-velocity": (ops.sgd_step, "sgd_step: velocity", "like", (2,),
+                          lambda a: ops.sgd_step([np.zeros(2)], [np.zeros(2)], 0.1, 0.0, [a])),
+}
 
 
-@pytest.mark.parametrize("op, shape, call", [
-    ("softmax", (3, 4), lambda a: ops.softmax(a, axis=1)),
-    ("pyramid_pool", (2, 4, 4), lambda a: pooling.pyramid_pool(a, _SPEC)),
-    ("pyramid_pool_backward", (2, 5),
-     lambda a: pooling.pyramid_pool_backward(a, _SPEC, 4, 4)),
-    ("attention input", (2, 4, 4),
-     lambda a: spa_forward(a, spa_module(_PROJ, SpaMode.ONLY_ODD, odd_spec=_SPEC))),
-    ("attention input", (2, 4, 4), lambda a: cpa_forward(a, CpaModule(_PROJ, CpaMode.SUBTRACT))),
-    ("attention input", (2, 4, 4), lambda a: nonlocal_forward(a, _PROJ, 0.5)),
-    ("conv2d_same", (2, 4, 4), lambda a: ops.conv2d_same(a, np.ones((3, 2, 3, 3)))),
-    ("conv2d_same weights", (3, 2, 3, 3), lambda a: ops.conv2d_same(np.ones((2, 4, 4)), a)),
-    ("cross_entropy_logits", (2, 4, 4),
-     lambda a: ops.cross_entropy_logits(a, np.zeros((4, 4), np.int64))),
-], ids=["softmax", "pyramid_pool", "pyramid_pool_backward", "spa_forward", "cpa_forward",
-        "nonlocal_forward", "conv2d_same", "conv2d_same-weights", "cross_entropy_logits"])
+@pytest.mark.parametrize("row", list(_OPERANDS))
 @pytest.mark.parametrize("fault", ["rank", "zero-dim", "int64"])
-def test_every_entry_point_states_its_rank_in_the_one_operand_rule(op, shape, call, fault):
-    # One operand rule, `ops._check_dims`: float32 or float64, the entry point's rank,
-    # every dim >= 1. Each fault names the entry point's operand and the fault.
+def test_every_entry_point_states_its_rank_in_the_one_operand_rule(row, fault):
+    # Every array an entry point takes meets the operand rule (float32 or float64, the
+    # entry point's rank, every dim >= 1) or the matching rule. Each fault names the
+    # entry point's operand and the fault.
+    _, op, rule, shape, call = _OPERANDS[row]
     call(np.ones(shape))
     bad, message = {
         "rank": (np.ones(shape + (1,)), f"expected rank-{len(shape)}, got shape {shape + (1,)}"),
@@ -279,7 +321,31 @@ def test_every_entry_point_states_its_rank_in_the_one_operand_rule(op, shape, ca
     }[fault]
     with pytest.raises(DimensionError) as err:
         call(bad)
-    assert str(err.value) == f"{op}: {message}"
+    if rule == "like":
+        assert str(err.value) == f"{op} is {bad.dtype} {bad.shape}, expected float64 {shape}"
+    else:
+        assert str(err.value) == f"{op}: {message}"
+
+
+# The public functions of `ops` and `pooling` that take no array.
+_TAKE_NO_ARRAY = {"resolve_dtype", "dtype_name", "init_weight", "parse_spec", "spec_name",
+                  "anchor_count", "shared_anchor_count", "bin_edges", "boundary_histogram",
+                  "interior_offsets"}
+
+
+def test_every_public_function_that_takes_an_array_has_an_operand_row():
+    # A new entry point of `ops` or `pooling` needs its rows above, or a place in
+    # _TAKE_NO_ARRAY when no parameter is annotated as an array.
+    takes, takes_none = set(), set()
+    for module in (ops, pooling):
+        for name, fn in vars(module).items():
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not name.startswith("_")):
+                params = inspect.signature(fn).parameters.values()
+                arrays = any("ndarray" in str(p.annotation) for p in params)
+                (takes if arrays else takes_none).add(name)
+    assert takes - {fn.__name__ for fn, *_ in _OPERANDS.values()} == set()
+    assert takes_none == _TAKE_NO_ARRAY
 
 
 def _backward(name, rng, x, g, g_net, proj):
